@@ -42,7 +42,7 @@ pub mod oracle;
 pub mod repro;
 pub mod shrink;
 
-pub use fuzz::{run_case, run_case_sharded, FuzzSpec, ShardedCheckReport};
-pub use lockstep::{check_workload_sharded, run_lockstep, LockstepReport};
+pub use fuzz::{run_case, FuzzSpec};
+pub use lockstep::{run_lockstep, LockstepReport};
 pub use oracle::Oracle;
 pub use shrink::shrink;

@@ -322,8 +322,6 @@ mod tests {
             max_cycles: 1000,
             skip: true,
             active_set: true,
-            shards: None,
-            shard_epoch: None,
         })
     }
 
