@@ -93,11 +93,7 @@ pub struct Sm {
     /// issue-bubble classification (mem stall vs idle) O(1).
     waiting_warps: usize,
     /// Whether the most recent tick ended in an issue bubble (nothing
-    /// issued, no LSU replay). The active-set scheduler's wake
-    /// registration (DESIGN.md §3i) reads this: a non-bubble tick means
-    /// the SM acted this cycle and `now + 1` is a safe conservative
-    /// wake, so the full [`Sm::next_event`] scan is only paid on the
-    /// busy→stalled transition cycle.
+    /// issued, no LSU replay). See [`Sm::ticked_bubble`].
     bubble: bool,
     /// Activated, unfinished warps with no outstanding loads — the Phase B
     /// candidate pool (busy-on-compute warps included). Zero lets the
@@ -238,11 +234,10 @@ impl Sm {
     }
 
     /// Whether the most recent tick issued nothing (and held no LSU
-    /// replay). Read by the active-set wake registration: after a
-    /// non-bubble tick the SM may act again next cycle, so `now + 1` is
-    /// registered without a scan; after a bubble the precise
-    /// [`Sm::next_event`] answer is worth its O(warps) cost because it
-    /// buys a multi-cycle skip.
+    /// replay). The skip engine's horizon peek reads this first: after a
+    /// non-bubble tick the SM may act again next cycle, so no skip is
+    /// possible and the O(warps) [`Sm::next_event`] scan is not worth
+    /// paying; only once every SM ticked a bubble can a skip pay off.
     pub fn ticked_bubble(&self) -> bool {
         self.bubble
     }

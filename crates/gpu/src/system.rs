@@ -22,15 +22,14 @@
 //! checks: [`SimStats`] stays bitwise identical and the steady-state loop
 //! stays allocation-free.
 //!
-//! Busy cycles are *active-set scheduled* (DESIGN.md §3i): every
-//! component — each SM, each network direction, each L2 slice, each DRAM
-//! channel — keeps its next wake cycle registered in a preallocated
-//! [`WakeWheel`], phases dispatch only components due at `now` (crediting
-//! the rest through their `advance_idle` classification, which is
-//! bitwise-equivalent to a dead tick), and the inter-tick skip peek is
-//! the wheel's O(1) minimum instead of an O(SMs × warps) rescan.
-//! [`GpuSystem::set_active_set`] turns this off (`--no-active-set` from
-//! the CLI) to fall back to dispatch-everything ticks for debugging.
+//! Every ticked cycle dispatches every SM; the memory side is gated per
+//! component by direct, stateless tests (a network or L2 slice ticks only
+//! when its `next_event` is due now, a DRAM channel only when it holds
+//! work). Between ticks the skip engine jumps the clock to the earliest
+//! component event, and the peek that finds it short-circuits on the
+//! common busy case: while any SM acted on its last tick
+//! ([`Sm::ticked_bubble`] is false) no skip is possible, so busy cycles
+//! never pay for the memory-side and per-warp scans.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -45,7 +44,6 @@ use crate::slab::{Slab, NO_SLOT};
 use crate::sm::{Sm, SmStats};
 use crate::stats::SimStats;
 use crate::warp::WarpProgram;
-use crate::wheel::{WakeWheel, NEVER};
 use fuse_cache::line::LineAddr;
 use fuse_cache::stats::CacheStats;
 use fuse_mem::dram::{DramChannel, DramCompletion, DramRequest};
@@ -93,27 +91,6 @@ pub struct GpuSystem {
     /// bitwise identical either way.
     skip: bool,
     skipped_cycles: u64,
-    /// Active-set tick scheduling (DESIGN.md §3i): busy cycles dispatch
-    /// only components whose registered wake cycle is due, crediting
-    /// everyone else through the same `advance_idle` classification the
-    /// skip engine uses — so [`SimStats`] stays bitwise identical to the
-    /// always-tick engine.
-    active: bool,
-    /// Per-component wake registry: SMs first, then the two network
-    /// directions, the L2 banks and the DRAM channels. Only *quiet* SMs
-    /// carry live entries — hot SMs and every memory-side component are
-    /// parked at [`NEVER`] (see `arm_wheel`). Preallocated; updates
-    /// never touch the heap.
-    wheel: WakeWheel,
-    /// The active set itself: `hot[si]` means SM `si` acted on its last
-    /// dispatch (issued, replayed its LSU, or was just delivered a fill)
-    /// and is dispatched again next cycle without consulting the wheel.
-    /// Steady busy state therefore costs one bool load per SM per cycle
-    /// and zero wheel updates; the wheel is touched only on hot↔quiet
-    /// transitions.
-    hot: Vec<bool>,
-    /// Number of set entries in `hot` (O(1) "no skip possible" test).
-    hot_count: usize,
     /// Component dispatches actually performed during ticked cycles.
     component_ticks: u64,
     /// Dispatch opportunities: components × ticked cycles. The ratio to
@@ -140,6 +117,18 @@ pub struct GpuSystem {
     dram_done_buf: Vec<DramCompletion>,
     respond_buf: Vec<(usize, L1Response)>,
     l2_out: L2Output,
+    /// Never read. It is the last allocation [`GpuSystem::new`] makes and
+    /// the last field dropped, so its small chunk sits at the top of the
+    /// heap while the rest of the system is freed, and once freed it
+    /// waits in glibc's per-thread cache instead of merging into the top.
+    /// glibc gives heap memory back to the kernel only from the top, so a
+    /// dropped system's pages stay mapped and the next build reuses them.
+    /// Without it, building and dropping the 42
+    /// fig13 systems in a loop takes ~2.5k minor page faults per pass and
+    /// about 1.5× as long (perfbench `setup_s`). One slot per component
+    /// gives it a size class few other allocations share, so it is carved
+    /// from the top rather than from a free list.
+    _heap_fence: Vec<u64>,
 }
 
 impl std::fmt::Debug for GpuSystem {
@@ -189,16 +178,7 @@ impl GpuSystem {
         let dram = (0..cfg.dram_channels)
             .map(|_| DramChannel::new(cfg.dram))
             .collect();
-        // One wheel slot per dispatchable component: every SM, each
-        // network direction, every L2 bank, every DRAM channel. Every SM
-        // starts hot (dispatched until it proves quiet), so all slots
-        // are parked — memory-side components are gated by direct O(1)
-        // per-cycle tests and never arm theirs (see `arm_wheel`).
         let components = cfg.num_sms + 2 + cfg.l2_banks + cfg.dram_channels;
-        let mut wheel = WakeWheel::new(components);
-        for c in 0..components {
-            wheel.set(c, NEVER);
-        }
         GpuSystem {
             req_net: Interconnect::new(cfg.icnt_latency, cfg.icnt_flits_per_cycle),
             rsp_net: Interconnect::new(cfg.icnt_latency, cfg.icnt_flits_per_cycle),
@@ -211,10 +191,6 @@ impl GpuSystem {
             pending_dram_total: 0,
             skip: true,
             skipped_cycles: 0,
-            active: true,
-            wheel,
-            hot: vec![true; cfg.num_sms],
-            hot_count: cfg.num_sms,
             component_ticks: 0,
             component_opportunities: 0,
             cfg,
@@ -231,6 +207,7 @@ impl GpuSystem {
             dram_done_buf: Vec::new(),
             respond_buf: Vec::new(),
             l2_out: L2Output::default(),
+            _heap_fence: vec![0; components],
         }
     }
 
@@ -264,33 +241,9 @@ impl GpuSystem {
         self.skipped_cycles
     }
 
-    /// Enables or disables active-set tick scheduling (on by default).
-    /// With it on, a busy cycle dispatches only the components whose
-    /// registered wake is due and credits the rest through their
-    /// `advance_idle` classification; [`SimStats`] is bitwise identical
-    /// either way, so turning it off is only useful for debugging the
-    /// wake registration itself or timing the dispatch-everything path.
-    pub fn set_active_set(&mut self, on: bool) {
-        self.active = on;
-        if on {
-            self.arm_wheel();
-        }
-    }
-
-    /// Arms the active set for (re-)entry into active-set mode: every SM
-    /// is hot (dispatched every cycle until a bubble tick proves it
-    /// quiet — conservative after arbitrary external mutation), and
-    /// every wheel slot is parked at [`NEVER`]. Memory-side components
-    /// are gated by direct O(1) occupancy/`next_event` tests each cycle
-    /// and contribute to the skip horizon through
-    /// [`GpuSystem::mem_next_event`], so their wheel slots carry no
-    /// information — parking them keeps
-    /// [`crate::wheel::WakeWheel::peek_min`] a quiet-SM-only horizon.
-    fn arm_wheel(&mut self) {
-        self.wheel.fill(NEVER);
-        self.hot.fill(true);
-        self.hot_count = self.hot.len();
-    }
+    /// Does nothing: every ticked cycle dispatches every SM. Kept only
+    /// because the repository benchmark (`perfbench/`) still calls it.
+    pub fn set_active_set(&mut self, _on: bool) {}
 
     /// Component dispatches actually performed during ticked cycles.
     /// Like [`GpuSystem::skipped_cycles`], deliberately not part of
@@ -303,59 +256,6 @@ impl GpuSystem {
     /// denominator for the sweep layer's `ticked_frac`.
     pub fn component_opportunities(&self) -> u64 {
         self.component_opportunities
-    }
-
-    /// Advances exactly one cycle through the normal tick path (no skip,
-    /// no profiler bookkeeping). Hook for the seeded active-set property
-    /// test, which audits the wake registry between individual cycles.
-    #[doc(hidden)]
-    pub fn debug_step(&mut self) {
-        self.tick();
-    }
-
-    /// Audits the wake registry against live `next_event` answers: the
-    /// heap structure must be intact, every registered SM wake must be
-    /// *at or before* the SM's true next event — early wakes cost a
-    /// no-op dispatch, late wakes lose events (DESIGN.md §3i) — and
-    /// every memory-side slot must still be parked at [`NEVER`] (those
-    /// components are gated by direct per-cycle tests, never by the
-    /// wheel).
-    #[doc(hidden)]
-    pub fn debug_audit_wakes(&self) -> Result<(), String> {
-        self.wheel.audit()?;
-        let now = self.cycle;
-        for (si, sm) in self.sms.iter().enumerate() {
-            let wake = self.wheel.get(si);
-            if self.hot[si] {
-                // Hot SMs are dispatched unconditionally every cycle;
-                // their wheel slot must be parked so a stale entry can
-                // never shadow the hot flag after demotion.
-                if wake != NEVER {
-                    return Err(format!(
-                        "SM {si}: hot but wheel slot is armed ({wake}) \
-                         instead of parked at NEVER"
-                    ));
-                }
-                continue;
-            }
-            let truth = sm.next_event(now).unwrap_or(NEVER);
-            if wake > truth {
-                return Err(format!(
-                    "SM {si}: registered wake {wake} is after its true \
-                     next event {truth} at cycle {now}"
-                ));
-            }
-        }
-        for c in self.sms.len()..self.wheel.len() {
-            if self.wheel.get(c) != NEVER {
-                return Err(format!(
-                    "memory-side component {c}: wheel slot is armed \
-                     ({}) but must stay parked at NEVER",
-                    self.wheel.get(c)
-                ));
-            }
-        }
-        Ok(())
     }
 
     /// Enables the cycle-attribution profiler with the given window
@@ -482,13 +382,6 @@ impl GpuSystem {
     /// Runs until every warp retires and the hierarchy drains, or
     /// `max_cycles` elapses. Returns the run's statistics.
     pub fn run(&mut self, max_cycles: u64) -> SimStats {
-        if self.active {
-            // A caller may have mutated components between runs (queued
-            // DRAM work, delivered responses, reset in-flight state):
-            // re-register every SM as due so the first tick rebuilds
-            // the wake registry from live `next_event` answers.
-            self.arm_wheel();
-        }
         while self.cycle < max_cycles {
             // Close profiling windows *before* the boundary tick so each
             // window covers exactly `[start, start + window)`. Skip spans
@@ -553,37 +446,12 @@ impl GpuSystem {
     /// The earliest cycle at or after `now` at which *any* component does
     /// observable work — the cycle the engine may fast-forward to. `None`
     /// when every component is quiescent (deadlock: only reachable under
-    /// a cycle cap). With active-set scheduling on, the SM half — the
-    /// expensive one, a per-warp scan across every SM — collapses to an
-    /// O(1) wheel peek (every tick leaves the registry current); the
-    /// memory side is still scanned directly, exactly as the legacy
-    /// engine does, because its `next_event` answers change with packets
-    /// queued *this same cycle* and caching them eagerly costs more per
-    /// cycle than the scan. Without active-set, the full component scan
-    /// (early-returning `Some(now)` as soon as anything is due
-    /// immediately, so the can't-skip case stays cheap).
+    /// a cycle cap). Early-returns `Some(now)` as soon as anything is due
+    /// immediately, so the can't-skip case stays cheap: an SM that acted
+    /// on its last tick answers before any scan runs.
     fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        if self.active {
-            // Any hot SM ticks every cycle: no skip is possible, and the
-            // whole memory-side scan — per-channel DRAM queue walks
-            // included — is not worth computing. This is the busy-cycle
-            // common case, answered by one counter load.
-            if self.hot_count > 0 {
-                return Some(now);
-            }
-            let sm = self.wheel.peek_min();
-            // Some quiet SM is due right now (a wake below `now` is a
-            // stale-early registration — always safe, the dispatch is a
-            // no-op): again no skip is possible.
-            if sm <= now {
-                return Some(now);
-            }
-            return match (sm, self.mem_next_event(now)) {
-                (NEVER, None) => None,
-                (NEVER, Some(m)) => Some(m.max(now)),
-                (t, None) => Some(t),
-                (t, Some(m)) => Some(t.min(m)),
-            };
+        if self.sms.iter().any(|sm| !sm.ticked_bubble()) {
+            return Some(now);
         }
         let mut earliest = match self.mem_next_event(now) {
             Some(t) if t <= now => return Some(now),
@@ -683,7 +551,8 @@ impl GpuSystem {
         let now = self.cycle;
         // Every ticked cycle offers one dispatch per component; the
         // phases below count what they actually dispatch.
-        self.component_opportunities += self.wheel.len() as u64;
+        self.component_opportunities +=
+            (self.sms.len() + 2 + self.l2.len() + self.dram.len()) as u64;
         // 1 in SAMPLE_PERIOD ticks is phase-timed; the rest take the plain
         // path (no Instant reads). With the profiler off this is one
         // branch.
@@ -718,19 +587,10 @@ impl GpuSystem {
     }
 
     /// Phase 1: SMs — L1 pipelines, wake-ups, issue (the coalesce trace
-    /// point lives inside the SM's issue stage). With active-set
-    /// scheduling on, an SM whose registered wake lies in the future is
-    /// credited one idle/stall cycle instead of being ticked — a dead
-    /// tick classifies the cycle identically (pinned by
-    /// `sm::tests::advance_idle_matches_ticked_classification`), so the
-    /// stats are bitwise the same either way.
+    /// point lives inside the SM's issue stage).
     fn phase_sms(&mut self, now: u64) {
+        self.component_ticks += self.sms.len() as u64;
         for (si, sm) in self.sms.iter_mut().enumerate() {
-            if self.active && !self.hot[si] && !self.wheel.due(si, now) {
-                sm.advance_idle(1);
-                continue;
-            }
-            self.component_ticks += 1;
             let tracer = self.tracer.as_deref_mut().map(|t| (t, narrow(si)));
             sm.tick_traced(now, tracer);
         }
@@ -742,47 +602,19 @@ impl GpuSystem {
     /// the NO_SLOT sentinel and are never looked up again.
     fn phase_inject(&mut self, now: u64) {
         for si in 0..self.sms.len() {
-            if self.active {
-                // An SM that was not due this cycle was not ticked in
-                // phase 1 and cannot hold fresh outgoing requests (they
-                // are drained the same cycle they are produced).
-                if !self.hot[si] && !self.wheel.due(si, now) {
-                    continue;
-                }
-            }
             self.outgoing_buf.clear();
             self.sms[si].drain_outgoing(&mut self.outgoing_buf);
             for i in 0..self.outgoing_buf.len() {
                 let req = self.outgoing_buf[i];
                 self.inject_req(si, req, now);
             }
-            if self.active {
-                // Hot↔quiet transition bookkeeping, *after* the drain (an
-                // undrained request pins `next_event` to the present). A
-                // non-bubble tick means the SM acted and may act again
-                // next cycle: it is (or stays) hot, costing nothing per
-                // cycle in steady state. A bubble tick sends it quiet
-                // with its exact horizon — the O(warps) `next_event`
-                // scan is paid only on that transition cycle, where it
-                // buys a multi-cycle gap in dispatching.
-                if self.sms[si].ticked_bubble() {
-                    if self.hot[si] {
-                        self.hot[si] = false;
-                        self.hot_count -= 1;
-                    }
-                    let wake = self.sms[si].next_event(now + 1).unwrap_or(NEVER);
-                    self.wheel.set(si, wake);
-                } else if !self.hot[si] {
-                    self.hot[si] = true;
-                    self.hot_count += 1;
-                    self.wheel.set(si, NEVER);
-                }
-            }
         }
         // The request network is due when a packet was pushed this cycle
         // (always delivered to it before this point) or a queued head
-        // matures; `next_event` folds both, so the test is exact.
-        if !self.active || self.req_net.next_event(now).is_some_and(|t| t <= now) {
+        // matures; `next_event` folds both, so the test is exact. A
+        // network that is not due is credited one idle cycle, which is
+        // what a dead tick would have accrued.
+        if self.req_net.next_event(now).is_some_and(|t| t <= now) {
             self.component_ticks += 1;
             self.deliver_requests(now);
         } else {
@@ -864,24 +696,17 @@ impl GpuSystem {
         self.deliver_buf = deliver;
     }
 
-    /// Phase 4: L2 service. A slice with an empty input queue has nothing
-    /// to do this cycle and is skipped; the active-set engine skips
-    /// harder — a queued head that has not matured is also a no-op tick
-    /// (the slice early-returns without touching a statistic), so the
-    /// direct `next_event` test is exact. It must be direct rather than
-    /// wheel-cached because `deliver_requests` ran earlier *this same
-    /// cycle* and can make a slice due immediately when `l2_latency` is
-    /// zero.
+    /// Phase 4: L2 service. A slice whose queued head has not matured
+    /// has nothing to do this cycle (its tick would early-return without
+    /// touching a statistic) and is skipped. The `next_event` test runs
+    /// every cycle rather than being cached because `deliver_requests`
+    /// ran earlier *this same cycle* and can make a slice due immediately
+    /// when `l2_latency` is zero.
     fn phase_l2(&mut self, now: u64) {
         let mut out = std::mem::take(&mut self.l2_out);
         out.clear();
         for bi in 0..self.l2.len() {
-            let due = if self.active {
-                self.l2[bi].next_event(now).is_some_and(|t| t <= now)
-            } else {
-                self.l2[bi].queued_packets() != 0
-            };
-            if !due {
+            if self.l2[bi].next_event(now).is_none_or(|t| t > now) {
                 continue;
             }
             self.component_ticks += 1;
@@ -910,7 +735,7 @@ impl GpuSystem {
         self.fill_buf.clear();
         let mut dram_done = std::mem::take(&mut self.dram_done_buf);
         for ci in 0..self.dram.len() {
-            // Both engines gate a channel on its O(1) occupancy counter —
+            // A channel is gated on its O(1) occupancy counter —
             // ticking a channel whose banks are all mid-service is a
             // no-op (statistics accrue only on actual service and
             // rejected pushes), and computing the channel's exact
@@ -964,9 +789,8 @@ impl GpuSystem {
     /// because this is the only place the full timeline is in hand.
     fn phase_respond(&mut self, now: u64) {
         // Direct due test for the same reason as phase 4: responses were
-        // pushed into the network earlier this cycle (phases 4–6), so a
-        // wheel entry registered last cycle could be stale-late.
-        if self.active && self.rsp_net.next_event(now).is_none_or(|t| t > now) {
+        // pushed into the network earlier this cycle (phases 4–6).
+        if self.rsp_net.next_event(now).is_none_or(|t| t > now) {
             self.rsp_net.advance_idle(1);
             return;
         }
@@ -975,13 +799,6 @@ impl GpuSystem {
         self.collect_responses(now, &mut ready);
         for &(sm, rsp) in &ready {
             self.sms[sm].push_response(now, rsp);
-            if self.active && !self.hot[sm] {
-                // A delivered fill wakes the warp: the SM has work next
-                // cycle no matter what its earlier registration said.
-                self.hot[sm] = true;
-                self.hot_count += 1;
-                self.wheel.set(sm, NEVER);
-            }
         }
         ready.clear();
         self.respond_buf = ready;
@@ -1393,58 +1210,6 @@ mod tests {
             skipped > 0,
             "a memory-latency-bound run must have dead cycles to skip"
         );
-    }
-
-    #[test]
-    fn active_set_preserves_stats_bitwise() {
-        // All four engine corners (active-set × cycle-skip) must agree
-        // bitwise; the active-set corners must actually elide dispatches.
-        let run = |active: bool, skip: bool| {
-            let mut sys = GpuSystem::new(
-                small_cfg(),
-                |_| Box::new(IdealL1::new()),
-                |s, w| streaming_program(s, w, 10),
-            );
-            sys.set_active_set(active);
-            sys.set_cycle_skipping(skip);
-            let stats = sys.run(1_000_000);
-            (stats, sys.component_ticks(), sys.component_opportunities())
-        };
-        let (base, full_ticks, _) = run(false, false);
-        for (active, skip) in [(true, true), (true, false), (false, true)] {
-            let (stats, ticks, opps) = run(active, skip);
-            assert_eq!(stats, base, "active={active} skip={skip}");
-            if active {
-                assert!(
-                    ticks < full_ticks,
-                    "active={active} skip={skip}: dispatched {ticks}, \
-                     always-tick dispatched {full_ticks}"
-                );
-                assert!(ticks <= opps);
-            }
-        }
-    }
-
-    #[test]
-    fn active_set_wakes_stay_conservative_under_stepping() {
-        // Drive the engine cycle by cycle through the public debug hook
-        // and audit the wake registry between every pair of ticks: no
-        // registered wake may sit later than the component's live
-        // `next_event` answer (a late wake is a lost event).
-        let mut sys = GpuSystem::new(
-            small_cfg(),
-            |_| Box::new(IdealL1::new()),
-            |s, w| streaming_program(s, w, 6),
-        );
-        for cycle in 0..5_000 {
-            sys.debug_step();
-            sys.debug_audit_wakes()
-                .unwrap_or_else(|e| panic!("after cycle {cycle}: {e}"));
-            if sys.is_done() {
-                return;
-            }
-        }
-        panic!("workload did not drain in 5k stepped cycles");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A [`CellKey`] digests **everything** that can change a cell's
 //! simulation outcome: the full workload spec, the full machine
 //! configuration, the full L1D configuration, the resolved instruction
-//! budget, the engine selection (skip/tick, active-set) and the
+//! budget, the engine selection (skip/tick) and the
 //! engine's semantic version + feature-flag fingerprint. Two processes,
 //! two machines or two months apart, the same inputs derive the same key
 //! — and perturbing any single field derives a different one (pinned by
@@ -91,10 +91,6 @@ pub struct KeyParts<'a> {
     /// but `skipped_cycles` in the recorded result is not, so the key
     /// distinguishes the engines.)
     pub skip: bool,
-    /// Active-set tick scheduling on? Statistics are engine-identical
-    /// here too, but keying the axis keeps the invalidation contract
-    /// structural rather than resting on the equivalence proof.
-    pub active_set: bool,
 }
 
 /// A derived content digest plus the canonical text it digests.
@@ -132,11 +128,10 @@ impl CellKey {
 /// is the safe direction).
 pub fn canonical_text(parts: &KeyParts<'_>) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("fuse-cell-key-v2\n");
+    s.push_str("fuse-cell-key-v3\n");
     s.push_str(&format!("engine={ENGINE_VERSION}\n"));
     s.push_str(&format!("features={}\n", ENGINE_FEATURES.join(",")));
     s.push_str(&format!("skip={}\n", parts.skip));
-    s.push_str(&format!("active_set={}\n", parts.active_set));
     s.push_str(&format!("ops_per_warp={}\n", parts.ops_per_warp));
     s.push_str(&format!("max_cycles={}\n", parts.max_cycles));
     s.push_str(&format!("workload={:?}\n", parts.workload));
@@ -199,7 +194,6 @@ mod tests {
             ops_per_warp: 1000,
             max_cycles: 1_000_000,
             skip: true,
-            active_set: true,
         }
     }
 
@@ -222,12 +216,12 @@ mod tests {
         let gpu = GpuConfig::gtx480();
         let l1 = L1Preset::DyFuse.config();
         let k = CellKey::derive(&parts(&w, &gpu, &l1));
-        assert!(k.text.starts_with("fuse-cell-key-v2\n"), "{:?}", k.text);
+        assert!(k.text.starts_with("fuse-cell-key-v3\n"), "{:?}", k.text);
         assert!(!k.text.contains("shards="), "{:?}", k.text);
+        assert!(!k.text.contains("active_set="), "{:?}", k.text);
         for needle in [
             ENGINE_VERSION,
             "skip=true",
-            "active_set=true",
             "ops_per_warp=1000",
             "max_cycles=1000000",
             "l1.name=Dy-FUSE",

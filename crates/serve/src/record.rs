@@ -321,7 +321,6 @@ mod tests {
             ops_per_warp: 100,
             max_cycles: 1000,
             skip: true,
-            active_set: true,
         })
     }
 

@@ -50,7 +50,7 @@
 //! of real multi-second simulations.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -735,18 +735,67 @@ fn reap_finished(handlers: &mut Vec<(Arc<AtomicBool>, JoinHandle<()>)>) {
     }
 }
 
+/// Longest request line a connection may send, `\n` excluded (a `\r`
+/// before it counts). A 189-cell `SWEEP` is about 3.5 KB; the cap only
+/// stops a peer, authed or not, from growing the line buffer without
+/// bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// One request line read under [`MAX_LINE_BYTES`].
+#[derive(Debug, PartialEq)]
+enum LineRead {
+    Line(String),
+    TooLong,
+    /// End of stream, a read error (deadline expiry included) or bytes
+    /// that are not UTF-8: the peer is dropped.
+    Closed,
+}
+
+/// Reads one line, never buffering more than `MAX_LINE_BYTES + 1` bytes.
+/// Strips the `\n` or `\r\n` terminator; a final line without one is
+/// returned as-is, like [`BufRead::lines`].
+fn read_capped_line(reader: &mut impl BufRead) -> LineRead {
+    let mut buf = Vec::new();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return LineRead::Closed,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        return LineRead::TooLong;
+    }
+    match String::from_utf8(buf) {
+        Ok(line) => LineRead::Line(line),
+        Err(_) => LineRead::Closed,
+    }
+}
+
 fn handle_conn(shared: &Arc<Shared>, conn: Conn, opts: &ServeOptions) {
     let _ = conn.set_read_timeout(Some(opts.read_timeout));
     let _ = conn.set_write_timeout(Some(opts.write_timeout));
     let Ok(read_half) = conn.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(conn);
     let mut authed = opts.auth_token.is_none();
-    for line in reader.lines() {
-        // A read deadline expiry surfaces as an Err line: drop the peer.
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_capped_line(&mut reader) {
+            LineRead::Line(line) => line,
+            LineRead::TooLong => {
+                // One ERR line, then the connection is closed, whether
+                // or not the peer has authenticated.
+                let _ = writeln!(writer, "ERR - line too long");
+                let _ = writer.flush();
+                return;
+            }
+            LineRead::Closed => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -1293,6 +1342,55 @@ mod tests {
         line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
         client::request(&cfg, "SHUTDOWN").unwrap();
+        acceptor.join().unwrap().unwrap();
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn capped_line_reader_accepts_the_cap_and_refuses_one_byte_more() {
+        let at_cap = "A".repeat(MAX_LINE_BYTES);
+        let mut r = std::io::Cursor::new(format!("{at_cap}\nPING\r\n"));
+        assert_eq!(read_capped_line(&mut r), LineRead::Line(at_cap));
+        assert_eq!(read_capped_line(&mut r), LineRead::Line("PING".into()));
+        assert_eq!(read_capped_line(&mut r), LineRead::Closed);
+        let mut over = std::io::Cursor::new(vec![b'A'; MAX_LINE_BYTES + 1]);
+        assert_eq!(read_capped_line(&mut over), LineRead::TooLong);
+    }
+
+    /// A peer that has not authenticated cannot grow the line buffer
+    /// past the cap: one byte over it, with no newline, earns one `ERR`
+    /// and a closed connection.
+    #[test]
+    fn overlong_line_before_auth_is_refused_and_closed() {
+        let (dir, cache) = tmp_cache("longline");
+        let server = Arc::new(Server::new(
+            Arc::new(FakeBackend::free()),
+            cache,
+            ServerConfig::default(),
+        ));
+        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+        let endpoint = listener.endpoint();
+        let opts = ServeOptions {
+            auth_token: Some("s3cr3t".to_string()),
+            ..ServeOptions::default()
+        };
+        let acceptor = {
+            let server = server.clone();
+            let opts = opts.clone();
+            std::thread::spawn(move || server.serve(&listener, &opts))
+        };
+        let mut raw = endpoint.connect(Duration::from_secs(10)).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        raw.write_all(&vec![b'A'; MAX_LINE_BYTES + 1]).unwrap();
+        raw.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "ERR - line too long");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+        server.request_shutdown();
         acceptor.join().unwrap().unwrap();
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);

@@ -399,7 +399,6 @@ mod tests {
             ops_per_warp: ops,
             max_cycles: 1000,
             skip: true,
-            active_set: true,
         })
     }
 

@@ -85,9 +85,6 @@ OPTIONS:
                          are overwritten once full)
     --no-skip            disable event-driven cycle skipping (slow tick
                          engine; statistics are bitwise identical)
-    --no-active-set      disable active-set tick scheduling, ticking every
-                         component every busy cycle (statistics are bitwise
-                         identical; see DESIGN.md §3i)
     --seeds <N>          fuzz seeds to run (check; default 64; 0 skips fuzzing)
     --seed-base <N>      first fuzz seed (check; default 0)
     --skip-grid          skip the workload-grid lockstep pass (check)
@@ -144,7 +141,6 @@ struct Args {
     metrics_window: Option<u64>,
     trace_capacity: Option<usize>,
     no_skip: bool,
-    no_active_set: bool,
     volta: bool,
     scale: f64,
     quiet: bool,
@@ -190,7 +186,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         metrics_window: None,
         trace_capacity: None,
         no_skip: false,
-        no_active_set: false,
         volta: false,
         scale: 1.0,
         quiet: false,
@@ -282,7 +277,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.repro_dir = argv.next().ok_or("--repro-dir needs a value")?;
             }
             "--no-skip" => args.no_skip = true,
-            "--no-active-set" => args.no_active_set = true,
             "--volta" => args.volta = true,
             "--quiet" => args.quiet = true,
             "--scale" => {
@@ -388,7 +382,6 @@ fn run_config(args: &Args) -> Result<RunConfig, String> {
     };
     rc.ops_scale *= args.scale;
     rc.skip = !args.no_skip;
-    rc.active_set = !args.no_active_set;
     if args.metrics_out.is_some() || args.metrics_window.is_some() {
         rc.metrics_window = Some(args.metrics_window.unwrap_or(4096));
     }
@@ -1030,17 +1023,6 @@ mod tests {
         assert_eq!(a.scale, 2.0);
         assert!(!a.no_skip, "skipping defaults on");
         assert!(run_config(&a).unwrap().skip);
-        assert!(!a.no_active_set, "active-set scheduling defaults on");
-        assert!(run_config(&a).unwrap().active_set);
-    }
-
-    #[test]
-    fn no_active_set_reaches_the_engine() {
-        let a = args(&["run", "--no-active-set"]).unwrap();
-        assert!(a.no_active_set);
-        let rc = run_config(&a).unwrap();
-        assert!(!rc.active_set, "--no-active-set must reach the engine");
-        assert!(rc.skip, "--no-active-set must not disturb cycle skipping");
     }
 
     #[test]
@@ -1050,6 +1032,7 @@ mod tests {
             &["run", "--shards", "2"][..],
             &["sweep", "--shard-epoch", "32"][..],
             &["check", "--shards", "4"][..],
+            &["run", "--no-active-set"][..],
         ] {
             let e = args(unknown).unwrap_err();
             assert!(e.contains("unknown flag"), "got {e:?}");

@@ -33,9 +33,8 @@ pub struct RunConfig {
     /// Either engine yields bitwise-identical [`SimStats`]; skipping is
     /// just faster.
     pub skip: bool,
-    /// Active-set tick scheduling — busy cycles dispatch only components
-    /// that are due (`fusesim --no-active-set` turns it off). Bitwise
-    /// identical [`SimStats`] either way; see DESIGN.md §3i.
+    /// Ignored: the engine has one tick scheduler. Kept only because the
+    /// repository benchmark (`perfbench/`) still reads it.
     pub active_set: bool,
     /// Cycle-attribution profiling window (`fusesim --metrics-out`).
     /// `None` (the default) keeps the hot path observability-free;
@@ -279,7 +278,6 @@ fn cell_key(spec: &WorkloadSpec, l1: L1Column<'_>, rc: &RunConfig) -> CellKey {
         ops_per_warp: rc.ops_for(spec),
         max_cycles: rc.max_cycles,
         skip: rc.skip,
-        active_set: rc.active_set,
     })
 }
 
@@ -347,7 +345,6 @@ pub fn run_workload(spec: &WorkloadSpec, preset: L1Preset, rc: &RunConfig) -> Ru
         |sm, warp| spec.program(sm, warp, ops),
     );
     sys.set_cycle_skipping(rc.skip);
-    sys.set_active_set(rc.active_set);
     apply_observability(&mut sys, rc);
     let sim = sys.run(rc.max_cycles);
     collect(
@@ -375,7 +372,6 @@ pub fn run_l1_config(
         |sm, warp| spec.program(sm, warp, ops),
     );
     sys.set_cycle_skipping(rc.skip);
-    sys.set_active_set(rc.active_set);
     apply_observability(&mut sys, rc);
     let sim = sys.run(rc.max_cycles);
     collect(spec.name, config_name, &mut sys, sim, banks)
@@ -465,25 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn active_set_and_always_tick_agree_on_a_fuse_config() {
-        let w = by_name("srad_v1").unwrap();
-        let fast = run_workload(&w, L1Preset::DyFuse, &RunConfig::smoke());
-        let slow_rc = RunConfig {
-            active_set: false,
-            ..RunConfig::smoke()
-        };
-        let slow = run_workload(&w, L1Preset::DyFuse, &slow_rc);
-        assert_eq!(fast.sim, slow.sim, "schedulers must agree bitwise");
-        assert!(
-            fast.component_ticks < slow.component_ticks,
-            "active-set must elide dispatches: {} vs {}",
-            fast.component_ticks,
-            slow.component_ticks
-        );
-        assert!(fast.component_ticks <= fast.component_opportunities);
-    }
-
-    #[test]
     fn observability_is_off_by_default_and_opt_in() {
         let w = by_name("ATAX").unwrap();
         let plain = run_workload(&w, L1Preset::DyFuse, &RunConfig::smoke());
@@ -545,27 +522,24 @@ mod tests {
                 ..RunConfig::smoke()
             },
         );
-        let always_tick = preset_cell_key(
-            &w,
-            L1Preset::DyFuse,
-            &RunConfig {
-                active_set: false,
-                ..RunConfig::smoke()
-            },
-        );
         let keys = [
             &base,
             &other_preset,
             &other_workload,
             &other_budget,
             &tick_engine,
-            &always_tick,
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in keys.iter().skip(i + 1) {
                 assert_ne!(a.hex, b.hex, "axes must not collide");
             }
         }
+        // The ignored `active_set` field must not split the cache.
+        let inert = RunConfig {
+            active_set: false,
+            ..RunConfig::smoke()
+        };
+        assert_eq!(base, preset_cell_key(&w, L1Preset::DyFuse, &inert));
         // Oracle derives a key without panicking despite having no
         // finite configuration.
         let oracle = preset_cell_key(&w, L1Preset::Oracle, &rc);

@@ -171,14 +171,6 @@ impl SweepPlan {
         self
     }
 
-    /// Enables or disables active-set tick scheduling for every cell
-    /// (`fusesim --no-active-set` routes through this). Cell statistics
-    /// are bitwise identical either way; only wall clock changes.
-    pub fn active_set(mut self, on: bool) -> Self {
-        self.run_config.active_set = on;
-        self
-    }
-
     /// Opts every cell into cycle-attribution profiling with the given
     /// window (`fusesim sweep --metrics-window`). Cell statistics stay
     /// bitwise identical; the per-cell reports ride along in
@@ -375,9 +367,8 @@ pub struct SweepReport {
     pub engine: String,
     /// Always `None`: every cell runs on the serial engine. Kept, with
     /// [`SweepReport::epoch_cycles`], only because the repository
-    /// benchmark (`perfbench/`) and the `alloc_budget`/`sched_overhead`
-    /// benches build the report as a struct literal. Neither field is
-    /// serialised.
+    /// benchmark (`perfbench/`) and the `alloc_budget` bench build the
+    /// report as a struct literal. Neither field is serialised.
     pub shards: Option<usize>,
     /// Always `None`; see [`SweepReport::shards`].
     pub epoch_cycles: Option<u64>,

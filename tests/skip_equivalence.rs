@@ -177,49 +177,6 @@ fn profiling_preserves_digests_and_the_series_is_engine_independent() {
     }
 }
 
-/// Fourth axis: active-set tick scheduling. Both scheduler modes — the
-/// wake-wheel engine (the default) and always-tick (`--no-active-set`) —
-/// must reproduce the recorded digests bit for bit on the whole grid,
-/// and the active-set mode must actually elide component dispatches
-/// somewhere (otherwise the wheel is dead weight and this axis proves
-/// nothing). See DESIGN.md §3i for the conservativeness argument.
-#[test]
-fn active_set_toggle_matches_the_recorded_digests() {
-    let mut elided = 0u64;
-    for active in [true, false] {
-        let rc = RunConfig {
-            active_set: active,
-            ..smoke(true)
-        };
-        for &(workload, config, want) in SEED_DIGESTS {
-            let spec = by_name(workload).expect("Table II workload exists");
-            let preset = match config {
-                "L1-SRAM" => L1Preset::L1Sram,
-                "Dy-FUSE" => L1Preset::DyFuse,
-                other => panic!("unknown preset {other} in the digest table"),
-            };
-            let r = run_workload(&spec, preset, &rc);
-            assert_eq!(
-                stats_digest(&r.sim),
-                want,
-                "{workload} / {config}: active_set={active} diverged from \
-                 the recorded digest"
-            );
-            if active {
-                assert!(
-                    r.component_ticks <= r.component_opportunities,
-                    "{workload} / {config}: dispatch accounting overflow"
-                );
-                elided += r.component_opportunities - r.component_ticks;
-            }
-        }
-    }
-    assert!(
-        elided > 0,
-        "active-set scheduling elided no dispatches anywhere on the grid"
-    );
-}
-
 #[test]
 fn stats_match_the_recorded_std_hasher_digests() {
     assert_eq!(
