@@ -9,7 +9,7 @@
 use fuse::core::config::L1Preset;
 use fuse::sweep::SweepPlan;
 use fuse_bench::table::f;
-use fuse_bench::{bench_config, record_sweep, Table};
+use fuse_bench::{bench_config, Table};
 use fuse_workloads::all_workloads;
 
 fn main() {
@@ -55,5 +55,5 @@ fn main() {
         100.0 * (sums[2] - sums[0]) / n as f64,
         100.0 * (sums[5] - sums[0]) / n as f64
     );
-    record_sweep(&report);
+    println!("{}", report.timing_summary());
 }

@@ -9,7 +9,7 @@ use fuse::core::config::L1Preset;
 use fuse::runner::geomean;
 use fuse::sweep::SweepPlan;
 use fuse_bench::table::f;
-use fuse_bench::{bench_config, record_sweep, Table};
+use fuse_bench::{bench_config, Table};
 use fuse_workloads::all_workloads;
 
 fn main() {
@@ -56,5 +56,5 @@ fn main() {
         dy,
         100.0 * (1.0 - dy)
     );
-    record_sweep(&report);
+    println!("{}", report.timing_summary());
 }

@@ -8,7 +8,7 @@
 use fuse::runner::geomean;
 use fuse::sweep::SweepPlan;
 use fuse_bench::table::f;
-use fuse_bench::{bench_config, record_sweep, Table};
+use fuse_bench::{bench_config, Table};
 use fuse_core::config::dy_fuse_with_ratio;
 use fuse_workloads::fig18_workloads;
 
@@ -64,5 +64,5 @@ fn main() {
         .map(|(r, _)| r.2)
         .expect("non-empty");
     println!("best split at the geomean: {best} (paper: 1/2)");
-    record_sweep(&report);
+    println!("{}", report.timing_summary());
 }

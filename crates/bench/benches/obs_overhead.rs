@@ -13,16 +13,14 @@
 //! [`MAX_REPS`] before calling it a violation, so a transient load
 //! spike on a shared CI host cannot fail the gate by itself. With
 //! `--check` it exits non-zero on a violation (the CI observability
-//! gate runs this). The profiled report is also recorded to `BENCH_sweep.json`
-//! (entry `obs-overhead`, schema `fuse-sweep-v4`) so per-cell window
-//! counts and the stall decomposition are tracked across PRs.
+//! gate runs this).
 
 use std::time::{Duration, Instant};
 
 use fuse::core::config::L1Preset;
 use fuse::sweep::{SweepPlan, SweepReport};
 use fuse_bench::table::f;
-use fuse_bench::{bench_config, record_sweep, Table};
+use fuse_bench::{bench_config, Table};
 use fuse_workloads::by_name;
 
 /// Interleaved repetitions per mode always executed.
@@ -109,7 +107,7 @@ fn main() {
     ]);
     t.print();
 
-    record_sweep(&profiled);
+    println!("{}", profiled.timing_summary());
 
     if !ok {
         eprintln!("obs overhead: profiling costs {ratio:.3}x (budget {BUDGET:.2}x)");

@@ -11,16 +11,15 @@
 //! * **incremental** — one cell invalidated (as `fusesim cache rm`
 //!   would); exactly that cell re-simulates.
 //!
-//! The cold and warm reports are recorded as the `fig13-cold` /
-//! `fig13-warm` rows of `BENCH_sweep.json`, so the speedup is part of
-//! the tracked bench history. A final pair of load passes hammers a
-//! [`Server`] with thousands of overlapping requests from concurrent
-//! client threads — once in-process (coalescing and the bounded queue,
-//! no transport overhead) and once over authenticated TCP loopback (the
-//! full wire path: `AUTH`, framing, retries).
+//! The cold and warm timing summaries are printed next to the speedup. A
+//! final pair of load passes hammers a [`Server`] with thousands of
+//! overlapping requests from concurrent client threads — once in-process
+//! (coalescing and the bounded queue, no transport overhead) and once
+//! over authenticated TCP loopback (the full wire path: `AUTH`, framing,
+//! retries).
 //!
 //! `--check` runs the same shape under the smoke budget and asserts the
-//! invariants without recording rows.
+//! invariants without the speedup floor.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -264,8 +263,8 @@ fn main() {
         cold_t, warm_t, speedup, incr_t
     );
     if !check {
-        fuse_bench::record_sweep(&cold);
-        fuse_bench::record_sweep(&warm);
+        println!("{}", cold.timing_summary());
+        println!("{}", warm.timing_summary());
         assert!(
             speedup >= 20.0,
             "warm re-run must be >=20x faster than cold (got {speedup:.1}x)"

@@ -8,7 +8,7 @@
 use fuse::core::config::L1Preset;
 use fuse::sweep::SweepPlan;
 use fuse_bench::table::f;
-use fuse_bench::{bench_config, record_sweep, Table};
+use fuse_bench::{bench_config, Table};
 use fuse_workloads::all_workloads;
 
 fn main() {
@@ -49,5 +49,5 @@ fn main() {
     println!(
         "note: measured APKI is per kilo warp-instruction (paper: per kilo thread-instruction)."
     );
-    record_sweep(&report);
+    println!("{}", report.timing_summary());
 }

@@ -12,7 +12,6 @@
 //! closer-to-paper runs; every harness honours it.
 
 use fuse::runner::RunConfig;
-use fuse::sweep::SweepReport;
 use fuse_cache::approx_assoc::ApproxConfig;
 use fuse_core::config::{L1Config, L1Preset, SttGeometry, SttOrganization};
 
@@ -81,27 +80,6 @@ pub fn exact_fa_fuse() -> L1Config {
 /// Geometric-mean helper re-exported for the harnesses.
 pub fn geomean(xs: &[f64]) -> f64 {
     fuse::runner::geomean(xs)
-}
-
-/// Where sweep timing entries land: `FUSE_SWEEP_JSON` if set, else
-/// `BENCH_sweep.json` at the workspace root (cargo runs benches with the
-/// package directory as cwd, so a relative default would scatter files).
-pub fn sweep_json_path() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("FUSE_SWEEP_JSON") {
-        return p.into();
-    }
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json")
-}
-
-/// Prints `report`'s timing summary and upserts its entry in
-/// [`sweep_json_path`]. Failures to write are reported, not fatal — a
-/// read-only checkout should still regenerate figures.
-pub fn record_sweep(report: &SweepReport) {
-    println!("{}", report.timing_summary());
-    let path = sweep_json_path();
-    if let Err(e) = report.write_json(&path) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 #[cfg(test)]

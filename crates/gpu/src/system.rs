@@ -94,7 +94,7 @@ pub struct GpuSystem {
     /// Component dispatches actually performed during ticked cycles.
     component_ticks: u64,
     /// Dispatch opportunities: components × ticked cycles. The ratio to
-    /// `component_ticks` is the sweep layer's `ticked_frac`.
+    /// `component_ticks` is the benchmark's `gpu.ticked_frac`.
     component_opportunities: u64,
     cycle: u64,
     net_residency: u64,
@@ -253,7 +253,7 @@ impl GpuSystem {
     }
 
     /// Dispatch opportunities (components × ticked cycles) — the
-    /// denominator for the sweep layer's `ticked_frac`.
+    /// denominator for the benchmark's `gpu.ticked_frac`.
     pub fn component_opportunities(&self) -> u64 {
         self.component_opportunities
     }

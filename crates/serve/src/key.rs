@@ -3,11 +3,12 @@
 //! A [`CellKey`] digests **everything** that can change a cell's
 //! simulation outcome: the full workload spec, the full machine
 //! configuration, the full L1D configuration, the resolved instruction
-//! budget, the engine selection (skip/tick) and the
-//! engine's semantic version + feature-flag fingerprint. Two processes,
-//! two machines or two months apart, the same inputs derive the same key
-//! — and perturbing any single field derives a different one (pinned by
-//! this crate's `key_properties` test).
+//! budget and the engine's semantic version + feature-flag fingerprint.
+//! The engine selection (skip/tick) is deliberately absent: both engines
+//! produce bitwise-identical statistics, so they share one entry. Two
+//! processes, two machines or two months apart, the same inputs derive
+//! the same key — and perturbing any single field derives a different
+//! one (pinned by this crate's `key_properties` test).
 //!
 //! # Invalidation contract
 //!
@@ -87,10 +88,6 @@ pub struct KeyParts<'a> {
     pub ops_per_warp: usize,
     /// Hard cycle cap.
     pub max_cycles: u64,
-    /// Event-driven cycle skipping on? (Statistics are engine-identical,
-    /// but `skipped_cycles` in the recorded result is not, so the key
-    /// distinguishes the engines.)
-    pub skip: bool,
 }
 
 /// A derived content digest plus the canonical text it digests.
@@ -128,10 +125,9 @@ impl CellKey {
 /// is the safe direction).
 pub fn canonical_text(parts: &KeyParts<'_>) -> String {
     let mut s = String::with_capacity(1024);
-    s.push_str("fuse-cell-key-v3\n");
+    s.push_str("fuse-cell-key-v4\n");
     s.push_str(&format!("engine={ENGINE_VERSION}\n"));
     s.push_str(&format!("features={}\n", ENGINE_FEATURES.join(",")));
-    s.push_str(&format!("skip={}\n", parts.skip));
     s.push_str(&format!("ops_per_warp={}\n", parts.ops_per_warp));
     s.push_str(&format!("max_cycles={}\n", parts.max_cycles));
     s.push_str(&format!("workload={:?}\n", parts.workload));
@@ -193,7 +189,6 @@ mod tests {
             gpu,
             ops_per_warp: 1000,
             max_cycles: 1_000_000,
-            skip: true,
         }
     }
 
@@ -216,12 +211,12 @@ mod tests {
         let gpu = GpuConfig::gtx480();
         let l1 = L1Preset::DyFuse.config();
         let k = CellKey::derive(&parts(&w, &gpu, &l1));
-        assert!(k.text.starts_with("fuse-cell-key-v3\n"), "{:?}", k.text);
-        assert!(!k.text.contains("shards="), "{:?}", k.text);
-        assert!(!k.text.contains("active_set="), "{:?}", k.text);
+        assert!(k.text.starts_with("fuse-cell-key-v4\n"), "{:?}", k.text);
+        for gone in ["shards=", "active_set=", "skip="] {
+            assert!(!k.text.contains(gone), "{:?}", k.text);
+        }
         for needle in [
             ENGINE_VERSION,
-            "skip=true",
             "ops_per_warp=1000",
             "max_cycles=1000000",
             "l1.name=Dy-FUSE",

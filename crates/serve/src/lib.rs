@@ -13,8 +13,7 @@
 //!
 //! * [`key`] — [`key::CellKey`]: a content digest over (workload spec,
 //!   machine config, L1 configuration, engine version + feature flags,
-//!   budget, skip mode). Any field change invalidates; nothing else
-//!   does.
+//!   budget). Any field change invalidates; nothing else does.
 //! * [`record`] — [`record::CellRecord`]: the engine-independent outcome
 //!   of one cell ([`fuse_gpu::stats::SimStats`], controller metrics,
 //!   energy breakdown) with a versioned, checksummed text serialisation.

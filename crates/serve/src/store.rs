@@ -398,7 +398,6 @@ mod tests {
             gpu: &gpu,
             ops_per_warp: ops,
             max_cycles: 1000,
-            skip: true,
         })
     }
 

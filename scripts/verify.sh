@@ -3,8 +3,6 @@
 #
 #   scripts/verify.sh          # fmt + clippy + build + tests
 #   scripts/verify.sh --quick  # skip fmt/clippy (tier-1 only)
-#   scripts/verify.sh --bench  # (re)emit the result-cache rows
-#                              # in BENCH_sweep.json via the serve_load bench
 #
 # The workspace has no external dependencies (PRNG, timing harness and
 # property generators are all in-repo), so every step below works without
@@ -17,20 +15,9 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 quick=false
-bench=false
 case "${1:-}" in
 --quick) quick=true ;;
---bench) bench=true ;;
 esac
-
-if $bench; then
-    # Result-cache axis: the serve_load bench re-measures the fig13
-    # acceptance grid cold and warm (fig13-cold / fig13-warm rows) and
-    # asserts the warm pass is >=20x faster and byte-identical.
-    echo "==> serve_load: cold/warm/incremental cache rows + service load test"
-    cargo bench -p fuse-bench --bench serve_load
-    exit 0
-fi
 
 if ! $quick; then
     echo "==> cargo fmt --check"
@@ -68,17 +55,23 @@ diff /tmp/fuse-verify-skip.json /tmp/fuse-verify-tick.json
 # Result-cache round trip: the fig13 acceptance grid (21 workloads x
 # {L1-SRAM, Dy-FUSE}) cold then warm into a fresh cache directory. The
 # warm pass must answer all 42 cells from the store — zero simulations —
-# and reproduce the engine-independent stats byte for byte, and the
-# store must pass its own integrity check (DESIGN.md §3h).
-echo "==> result cache round trip (fig13 grid cold, then warm: 100% hits, stats bitwise equal)"
+# and reproduce the engine-independent stats byte for byte. The engine
+# is not a key axis, so a third, --no-skip pass must hit the same 42
+# entries. The store must then pass its own integrity check (DESIGN.md
+# §3h).
+echo "==> result cache round trip (fig13 grid cold, warm, warm --no-skip: 100% hits, stats bitwise equal)"
 cache_dir=$(mktemp -d /tmp/fuse-verify-cache.XXXXXX)
 ./target/release/fusesim sweep --workloads all --configs L1-SRAM,Dy-FUSE \
-    --scale 0.1 --name cache-smoke --cache-dir "$cache_dir" \
+    --scale 0.1 --cache-dir "$cache_dir" \
     --stats-json /tmp/fuse-verify-cold.json | grep -F "cache: 0 hit(s), 42 miss(es)"
 ./target/release/fusesim sweep --workloads all --configs L1-SRAM,Dy-FUSE \
-    --scale 0.1 --name cache-smoke --cache-dir "$cache_dir" \
+    --scale 0.1 --cache-dir "$cache_dir" \
     --stats-json /tmp/fuse-verify-warm.json | grep -F "cache: 42 hit(s), 0 miss(es)"
 diff /tmp/fuse-verify-cold.json /tmp/fuse-verify-warm.json
+./target/release/fusesim sweep --workloads all --configs L1-SRAM,Dy-FUSE \
+    --scale 0.1 --cache-dir "$cache_dir" --no-skip \
+    --stats-json /tmp/fuse-verify-warm-tick.json | grep -F "cache: 42 hit(s), 0 miss(es)"
+diff /tmp/fuse-verify-cold.json /tmp/fuse-verify-warm-tick.json
 ./target/release/fusesim cache verify --cache-dir "$cache_dir" >/dev/null
 rm -rf "$cache_dir"
 

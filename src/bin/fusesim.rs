@@ -7,7 +7,7 @@
 //! $ fusesim run --workload ATAX --config Dy-FUSE
 //! $ fusesim run --workload GEMM --config L1-SRAM --volta --scale 2
 //! $ fusesim compare --workload BICG
-//! $ fusesim sweep --workloads ATAX,BICG,GEMM --configs fig13 --json BENCH_sweep.json
+//! $ fusesim sweep --workloads ATAX,BICG,GEMM --configs fig13 --stats-json stats.json
 //! $ fusesim list
 //! ```
 //!
@@ -71,9 +71,6 @@ OPTIONS:
     --workloads <LIST>   comma-separated workloads, or `all` (sweep; default all)
     --configs <LIST>     comma-separated configs, `all`, or `fig13` (sweep; default fig13)
     --threads <N>        sweep worker threads (default: all cores)
-    --name <NAME>        sweep entry name used as the BENCH_sweep.json
-                         merge key (sweep; default cli-sweep)
-    --json <PATH>        append the sweep entry to a BENCH_sweep.json file
     --stats-json <PATH>  write the engine-independent stats digest (sweep)
     --metrics-out <PATH> write the windowed stall-breakdown profile as JSON
                          (run; enables the cycle-attribution profiler)
@@ -133,8 +130,6 @@ struct Args {
     workloads: String,
     configs: String,
     threads: Option<usize>,
-    name: Option<String>,
-    json: Option<String>,
     stats_json: Option<String>,
     metrics_out: Option<String>,
     trace_out: Option<String>,
@@ -178,8 +173,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         workloads: "all".to_string(),
         configs: "fig13".to_string(),
         threads: None,
-        name: None,
-        json: None,
         stats_json: None,
         metrics_out: None,
         trace_out: None,
@@ -233,12 +226,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 args.threads = Some(n);
             }
-            "--name" => {
-                args.name = Some(argv.next().ok_or("--name needs a value")?);
-            }
-            "--json" => {
-                args.json = Some(argv.next().ok_or("--json needs a value")?);
-            }
             "--stats-json" => {
                 args.stats_json = Some(argv.next().ok_or("--stats-json needs a value")?);
             }
@@ -282,8 +269,8 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--scale" => {
                 let v = argv.next().ok_or("--scale needs a value")?;
                 args.scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
-                if args.scale <= 0.0 {
-                    return Err("scale must be positive".to_string());
+                if !(args.scale.is_finite() && args.scale > 0.0) {
+                    return Err("scale must be a positive finite number".to_string());
                 }
             }
             "--cache-dir" => {
@@ -622,8 +609,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     if workloads.is_empty() || presets.is_empty() {
         return Err("sweep needs at least one workload and one config".to_string());
     }
-    let name = args.name.as_deref().unwrap_or("cli-sweep");
-    let mut plan = SweepPlan::new(name, run_config(args)?)
+    let mut plan = SweepPlan::new("cli-sweep", run_config(args)?)
         .workloads(workloads)
         .presets(&presets);
     if let Some(t) = args.threads {
@@ -649,12 +635,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     println!("{}", report.timing_summary());
     if let (Some(h), Some(m)) = (report.cache_hits, report.cache_misses) {
         println!("cache: {h} hit(s), {m} miss(es)");
-    }
-    if let Some(path) = &args.json {
-        report
-            .write_json(std::path::Path::new(path))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote sweep entry to {path}");
     }
     if let Some(path) = &args.stats_json {
         report
@@ -1033,12 +1013,16 @@ mod tests {
             &["sweep", "--shard-epoch", "32"][..],
             &["check", "--shards", "4"][..],
             &["run", "--no-active-set"][..],
+            &["sweep", "--json", "out.json"][..],
+            &["sweep", "--name", "x"][..],
         ] {
             let e = args(unknown).unwrap_err();
             assert!(e.contains("unknown flag"), "got {e:?}");
         }
         assert!(args(&["run", "--scale", "0"]).is_err());
         assert!(args(&["run", "--scale", "x"]).is_err());
+        assert!(args(&["run", "--scale", "nan"]).is_err());
+        assert!(args(&["run", "--scale", "inf"]).is_err());
         assert!(args(&["run", "--workload"]).is_err());
     }
 
@@ -1059,8 +1043,6 @@ mod tests {
             "fig13",
             "--threads",
             "4",
-            "--json",
-            "out.json",
             "--stats-json",
             "digest.json",
             "--no-skip",
@@ -1068,7 +1050,6 @@ mod tests {
         .unwrap();
         assert_eq!(a.command, "sweep");
         assert_eq!(a.threads, Some(4));
-        assert_eq!(a.json.as_deref(), Some("out.json"));
         assert_eq!(a.stats_json.as_deref(), Some("digest.json"));
         assert!(a.no_skip);
         assert!(

@@ -31,7 +31,7 @@ pub struct RunConfig {
     pub max_cycles: u64,
     /// Event-driven cycle skipping (`fusesim --no-skip` turns it off).
     /// Either engine yields bitwise-identical [`SimStats`]; skipping is
-    /// just faster.
+    /// just faster, so the choice is not part of the cell key.
     pub skip: bool,
     /// Ignored: the engine has one tick scheduler. Kept only because the
     /// repository benchmark (`perfbench/`) still reads it.
@@ -108,7 +108,7 @@ fn env_scale() -> f64 {
     std::env::var("FUSE_SCALE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| *s > 0.0)
+        .filter(|s| s.is_finite() && *s > 0.0)
         .unwrap_or(1.0)
 }
 
@@ -126,15 +126,10 @@ pub struct RunResult {
     /// Evaluated energy breakdown.
     pub energy: EnergyBreakdown,
     /// Cycles the engine fast-forwarded over (0 with `--no-skip`).
-    /// Not part of `sim`: both engines must report identical statistics.
+    /// Engine telemetry, not part of `sim`: both engines must report
+    /// identical statistics. Not cached either, so a result served from
+    /// a [`CellRecord`] reads 0.
     pub skipped_cycles: u64,
-    /// Component dispatches the engine actually performed, and the
-    /// opportunities it had (components × ticked cycles). Engine
-    /// telemetry like `skipped_cycles` — not part of `sim`, not cached
-    /// (both rehydrate as 0 from a [`CellRecord`]).
-    pub component_ticks: u64,
-    /// See [`RunResult::component_ticks`].
-    pub component_opportunities: u64,
     /// Windowed stall-breakdown profile (`Some` iff
     /// [`RunConfig::metrics_window`] was set).
     pub profile: Option<ProfileReport>,
@@ -174,12 +169,12 @@ impl RunResult {
             sim: self.sim,
             metrics: self.metrics,
             energy: self.energy,
-            skipped_cycles: self.skipped_cycles,
         }
     }
 
-    /// Rehydrates a result from a cached record. `profile` and `trace`
-    /// are `None`: observed runs are never cached.
+    /// Rehydrates a result from a cached record. `skipped_cycles` is 0
+    /// and `profile` and `trace` are `None`: engine telemetry is not
+    /// recorded, and observed runs are never cached.
     pub fn from_record(rec: &CellRecord) -> RunResult {
         RunResult {
             workload: rec.workload.clone(),
@@ -187,9 +182,7 @@ impl RunResult {
             sim: rec.sim,
             metrics: rec.metrics,
             energy: rec.energy,
-            skipped_cycles: rec.skipped_cycles,
-            component_ticks: 0,
-            component_opportunities: 0,
+            skipped_cycles: 0,
             profile: None,
             trace: None,
         }
@@ -277,7 +270,6 @@ fn cell_key(spec: &WorkloadSpec, l1: L1Column<'_>, rc: &RunConfig) -> CellKey {
         gpu: &rc.gpu,
         ops_per_warp: rc.ops_for(spec),
         max_cycles: rc.max_cycles,
-        skip: rc.skip,
     })
 }
 
@@ -310,8 +302,6 @@ fn collect(
         metrics,
         energy,
         skipped_cycles: sys.skipped_cycles(),
-        component_ticks: sys.component_ticks(),
-        component_opportunities: sys.component_opportunities(),
         profile: sys.take_profile(),
         trace: sys.take_trace(),
     }
@@ -488,7 +478,7 @@ mod tests {
         assert_eq!(r.sim, back.sim);
         assert_eq!(r.metrics, back.metrics);
         assert_eq!(r.energy, back.energy);
-        assert_eq!(r.skipped_cycles, back.skipped_cycles);
+        assert_eq!(back.skipped_cycles, 0, "engine telemetry is not cached");
         assert_eq!(r.workload, back.workload);
         assert_eq!(r.config, back.config);
         assert!(back.profile.is_none() && back.trace.is_none());
@@ -514,32 +504,26 @@ mod tests {
                 ..RunConfig::smoke()
             },
         );
-        let tick_engine = preset_cell_key(
-            &w,
-            L1Preset::DyFuse,
-            &RunConfig {
-                skip: false,
-                ..RunConfig::smoke()
-            },
-        );
-        let keys = [
-            &base,
-            &other_preset,
-            &other_workload,
-            &other_budget,
-            &tick_engine,
-        ];
+        let keys = [&base, &other_preset, &other_workload, &other_budget];
         for (i, a) in keys.iter().enumerate() {
             for b in keys.iter().skip(i + 1) {
                 assert_ne!(a.hex, b.hex, "axes must not collide");
             }
         }
-        // The ignored `active_set` field must not split the cache.
-        let inert = RunConfig {
-            active_set: false,
-            ..RunConfig::smoke()
-        };
-        assert_eq!(base, preset_cell_key(&w, L1Preset::DyFuse, &inert));
+        // Neither the engine choice nor the ignored `active_set` field
+        // may split the cache: both engines produce identical statistics.
+        for inert in [
+            RunConfig {
+                skip: false,
+                ..RunConfig::smoke()
+            },
+            RunConfig {
+                active_set: false,
+                ..RunConfig::smoke()
+            },
+        ] {
+            assert_eq!(base, preset_cell_key(&w, L1Preset::DyFuse, &inert));
+        }
         // Oracle derives a key without panicking despite having no
         // finite configuration.
         let oracle = preset_cell_key(&w, L1Preset::Oracle, &rc);

@@ -93,7 +93,7 @@ impl SweepConfig {
 /// A (workload × L1 configuration) grid awaiting execution.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    /// Sweep label (keys the `BENCH_sweep.json` entry).
+    /// Sweep label (heads the timing summary and the stats digest).
     pub name: String,
     /// Grid rows.
     pub workloads: Vec<WorkloadSpec>,
@@ -174,8 +174,7 @@ impl SweepPlan {
     /// Opts every cell into cycle-attribution profiling with the given
     /// window (`fusesim sweep --metrics-window`). Cell statistics stay
     /// bitwise identical; the per-cell reports ride along in
-    /// [`RunResult::profile`] and the `BENCH_sweep.json` entry gains
-    /// per-cell window counts.
+    /// [`RunResult::profile`].
     pub fn metrics_window(mut self, window: u64) -> Self {
         self.run_config.metrics_window = Some(window);
         self
@@ -326,34 +325,9 @@ pub struct SweepCell {
     pub result: RunResult,
     /// Wall time this cell took on its worker.
     pub wall_ns: u64,
-    /// Heap operations per simulated kilocycle, when the run was executed
-    /// under the counting allocator (`fuse-bench`'s `alloc_budget`
-    /// harness). `None` for ordinary sweeps: a meaningful count needs the
-    /// `#[global_allocator]` wrapper installed and a serial run, so the
-    /// parallel sweep path never fills it in.
+    /// Always `None`; nothing reads it. Kept only because the repository
+    /// benchmark (`perfbench/`) builds cells as struct literals.
     pub allocs_per_kcycle: Option<f64>,
-}
-
-impl SweepCell {
-    /// Simulated cycles per wall-clock second — the engine-throughput
-    /// metric tracked across PRs.
-    pub fn sim_cycles_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.result.sim.cycles as f64 * 1e9 / self.wall_ns as f64
-        }
-    }
-
-    /// Fraction of this cell's simulated cycles the engine fast-forwarded
-    /// over instead of ticking (0 under `--no-skip`).
-    pub fn skipped_frac(&self) -> f64 {
-        if self.result.sim.cycles == 0 {
-            0.0
-        } else {
-            self.result.skipped_cycles as f64 / self.result.sim.cycles as f64
-        }
-    }
 }
 
 /// An executed sweep: cells in workload-major grid order plus timing.
@@ -367,8 +341,7 @@ pub struct SweepReport {
     pub engine: String,
     /// Always `None`: every cell runs on the serial engine. Kept, with
     /// [`SweepReport::epoch_cycles`], only because the repository
-    /// benchmark (`perfbench/`) and the `alloc_budget` bench build the
-    /// report as a struct literal. Neither field is serialised.
+    /// benchmark (`perfbench/`) builds the report as a struct literal.
     pub shards: Option<usize>,
     /// Always `None`; see [`SweepReport::shards`].
     pub epoch_cycles: Option<u64>,
@@ -456,79 +429,6 @@ impl SweepReport {
         )
     }
 
-    /// Serialises the report as a single-line JSON object (the
-    /// `BENCH_sweep.json` schema — see DESIGN.md).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 128 * self.cells.len());
-        let cache = match (self.cache_hits, self.cache_misses) {
-            (Some(h), Some(m)) => format!("\"cache_hits\":{h},\"cache_misses\":{m},"),
-            _ => String::new(),
-        };
-        s.push_str(&format!(
-            "{{\"name\":{},\"engine\":{},\"threads\":{},{}\"grid\":[{},{}],\"wall_ms\":{},\
-             \"serial_estimate_ms\":{},\"speedup_vs_serial\":{},\
-             \"sim_cycles\":{},\"sim_cycles_per_sec\":{},\"cells\":[",
-            json_str(&self.name),
-            json_str(&self.engine),
-            self.threads,
-            cache,
-            self.workloads.len(),
-            self.configs.len(),
-            json_f64(self.wall_ns as f64 / 1e6, 3),
-            json_f64(self.serial_estimate_ns() as f64 / 1e6, 3),
-            json_f64(self.speedup_vs_serial(), 3),
-            self.sim_cycles_total(),
-            json_f64(self.sim_cycles_per_sec(), 0),
-        ));
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let r = &cell.result;
-            let (stall_net, stall_mem) = r.sim.offchip_decomposition();
-            s.push_str(&format!(
-                "{{\"workload\":{},\"config\":{},\"wall_ms\":{},\"cycles\":{},\
-                 \"cycles_per_sec\":{},\"ipc\":{},\"skipped\":{},\"skipped_frac\":{},\
-                 \"stall_frac\":{},\"stall_net\":{},\"stall_mem\":{}}}",
-                json_str(&r.workload),
-                json_str(&r.config),
-                json_f64(cell.wall_ns as f64 / 1e6, 3),
-                r.sim.cycles,
-                json_f64(cell.sim_cycles_per_sec(), 0),
-                json_f64(r.ipc(), 6),
-                r.skipped_cycles,
-                json_f64(cell.skipped_frac(), 4),
-                json_f64(r.sim.offchip_stall_fraction(), 4),
-                json_f64(stall_net, 4),
-                json_f64(stall_mem, 4),
-            ));
-            if let Some(profile) = &r.profile {
-                s.pop(); // re-open the cell object
-                s.push_str(&format!(",\"windows\":{}}}", profile.series.samples.len()));
-            }
-            if r.component_opportunities > 0 {
-                // Schema v7: serially executed cells carry the engine's
-                // dispatch telemetry (cache hits rehydrate 0
-                // opportunities and stay bare).
-                s.pop(); // re-open the cell object
-                s.push_str(&format!(
-                    ",\"component_ticks\":{},\"ticked_frac\":{}}}",
-                    r.component_ticks,
-                    json_f64(
-                        r.component_ticks as f64 / r.component_opportunities as f64,
-                        4
-                    ),
-                ));
-            }
-            if let Some(apk) = cell.allocs_per_kcycle {
-                s.pop(); // re-open the cell object
-                s.push_str(&format!(",\"allocs_per_kcycle\":{}}}", json_f64(apk, 3)));
-            }
-        }
-        s.push_str("]}");
-        s
-    }
-
     /// Serialises only the engine-independent simulation outcomes — no
     /// wall clocks, no thread counts, no skipped-cycle counters. Two runs
     /// of the same grid on different engines (`--no-skip` vs default) or
@@ -571,32 +471,6 @@ impl SweepReport {
     /// Propagates I/O errors from writing `path`.
     pub fn write_stats_json(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.stats_json())
-    }
-
-    /// Writes (or replaces) this sweep's entry in the shared
-    /// `BENCH_sweep.json` perf-trajectory file. The file keeps one sweep
-    /// per line so entries can be merged without a JSON parser; see
-    /// DESIGN.md for the schema.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from reading or writing `path`.
-    pub fn write_json(&self, path: &Path) -> std::io::Result<()> {
-        let mut entries: Vec<String> = Vec::new();
-        if let Ok(existing) = std::fs::read_to_string(path) {
-            let my_key = format!("{{\"name\":{},", json_str(&self.name));
-            for line in existing.lines() {
-                let line = line.trim().trim_end_matches(',');
-                if line.starts_with("{\"name\":") && !line.starts_with(&my_key) {
-                    entries.push(line.to_string());
-                }
-            }
-        }
-        entries.push(self.to_json());
-        let mut out = String::from("{\"schema\":\"fuse-sweep-v7\",\"sweeps\":[\n");
-        out.push_str(&entries.join(",\n"));
-        out.push_str("\n]}\n");
-        std::fs::write(path, out)
     }
 }
 
@@ -675,55 +549,11 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_and_merge() {
-        let dir = std::env::temp_dir().join("fuse_sweep_json_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_sweep.json");
-        let _ = std::fs::remove_file(&path);
-
-        let r = tiny_plan().threads(2).run();
-        let js = r.to_json();
-        assert!(js.starts_with("{\"name\":\"unit\""));
-        assert!(js.contains("\"cells\":["));
-        assert!(js.contains("\"workload\":\"ATAX\""));
-
-        r.write_json(&path).expect("first write");
-        let mut other = r.clone();
-        other.name = "other".to_string();
-        other.write_json(&path).expect("second write");
-        // Re-writing "unit" replaces its line, keeps "other".
-        r.write_json(&path).expect("third write");
-        let content = std::fs::read_to_string(&path).expect("readable");
-        assert_eq!(content.matches("{\"name\":\"unit\"").count(), 1);
-        assert_eq!(content.matches("{\"name\":\"other\"").count(), 1);
-        assert!(content.starts_with("{\"schema\":\"fuse-sweep-v7\""));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn allocs_per_kcycle_is_emitted_only_when_measured() {
-        let mut r = tiny_plan().threads(2).run();
-        assert!(
-            !r.to_json().contains("allocs_per_kcycle"),
-            "ordinary sweeps carry no allocation counts"
-        );
-        r.cells[0].allocs_per_kcycle = Some(1.5);
-        let js = r.to_json();
-        assert!(js.contains("\"allocs_per_kcycle\":1.500}"));
-        assert_eq!(
-            js.matches('{').count(),
-            js.matches('}').count(),
-            "the optional field must keep the cell object balanced"
-        );
-    }
-
-    #[test]
     fn report_records_the_engine_and_skip_fractions() {
         let fast = tiny_plan().threads(2).run();
         assert_eq!(fast.engine, "skip");
-        assert!(fast.to_json().contains("\"engine\":\"skip\""));
         assert!(
-            fast.cells.iter().all(|c| c.skipped_frac() > 0.0),
+            fast.cells.iter().all(|c| c.result.skipped_cycles > 0),
             "smoke cells are latency-bound: every one must skip"
         );
         let slow = tiny_plan().cycle_skip(false).threads(2).run();
@@ -758,23 +588,11 @@ mod tests {
             assert!(q.result.profile.is_some(), "every cell carries a profile");
             assert!(p.result.profile.is_none());
         }
-        assert!(prof.to_json().contains("\"windows\":"));
-        assert!(!plain.to_json().contains("\"windows\":"));
         assert_eq!(
             plain.stats_json(),
             prof.stats_json(),
             "the engine-independent digest must not change under profiling"
         );
-    }
-
-    #[test]
-    fn sweep_json_carries_the_stall_decomposition() {
-        let r = tiny_plan().threads(2).run();
-        let js = r.to_json();
-        assert!(js.contains("\"stall_frac\":"));
-        assert!(js.contains("\"stall_net\":"));
-        assert!(js.contains("\"stall_mem\":"));
-        assert!(!js.contains("NaN") && !js.contains("inf"));
     }
 
     #[test]
@@ -817,9 +635,6 @@ mod tests {
         let cold = tiny_plan().cache(cache.clone()).run();
         assert_eq!(cold.cache_hits, Some(0));
         assert_eq!(cold.cache_misses, Some(4));
-        assert!(cold
-            .to_json()
-            .contains("\"cache_hits\":0,\"cache_misses\":4,"));
 
         let warm = tiny_plan().cache(cache.clone()).run();
         assert_eq!(warm.cache_hits, Some(4), "every cell served from cache");
@@ -840,6 +655,13 @@ mod tests {
         let warm2 = tiny_plan().cache(reopened).run();
         assert_eq!(warm2.cache_hits, Some(4));
         assert_eq!(cold.stats_json(), warm2.stats_json());
+
+        // The engine is not a key axis: the tick engine reads the same
+        // entries the skip engine wrote, without simulating anything.
+        let tick = tiny_plan().cache(cache.clone()).cycle_skip(false).run();
+        assert_eq!(tick.cache_hits, Some(4), "--no-skip shares the entries");
+        assert_eq!(tick.cache_misses, Some(0));
+        assert_eq!(cold.stats_json(), tick.stats_json());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -865,7 +687,6 @@ mod tests {
         let profiled = tiny_plan().cache(cache.clone()).metrics_window(2048).run();
         assert_eq!(profiled.cache_hits, None, "observer disables the cache");
         assert_eq!(cache.stats().entries, 0, "nothing was recorded");
-        assert!(!profiled.to_json().contains("cache_hits"));
         assert!(
             profiled.cells.iter().all(|c| c.result.profile.is_some()),
             "the observer still ran"

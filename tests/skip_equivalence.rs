@@ -4,10 +4,10 @@
 //! the plain tick engine must be *observationally identical*: every field
 //! of [`fuse::gpu::stats::SimStats`] — cycles, stall classifications,
 //! interconnect counters, cache and DRAM statistics — must match bitwise
-//! for every Table II workload on both the SRAM baseline and the full
-//! Dy-FUSE configuration. Any divergence means a component's
-//! `next_event` under-reported an event or `advance_idle` mis-credited a
-//! counter, so this test is the contract the skip engine is held to.
+//! for every Table II workload on every L1D preset. Any divergence means
+//! a component's `next_event` under-reported an event or `advance_idle`
+//! mis-credited a counter, so this test is the contract the skip engine
+//! is held to.
 //!
 //! A second axis pins the same grid against *recorded* digests
 //! ([`SEED_DIGESTS`]), captured on the engine that still used the
@@ -34,7 +34,7 @@ fn skip_and_tick_engines_agree_bitwise_on_every_workload() {
     let slow_rc = smoke(false);
     let mut total_skipped = 0u64;
     for spec in all_workloads() {
-        for preset in [L1Preset::L1Sram, L1Preset::DyFuse] {
+        for preset in L1Preset::ALL {
             let fast = run_workload(&spec, preset, &fast_rc);
             let slow = run_workload(&spec, preset, &slow_rc);
             assert_eq!(
