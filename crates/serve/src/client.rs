@@ -4,11 +4,12 @@
 //! through this module: one [`request`] call dials the endpoint,
 //! authenticates if a token is configured, sends one request line and
 //! collects the response lines up to the protocol's terminal line.
-//! Transient failures — connect errors, I/O deadlines, a `BUSY`
-//! load-shedding reply — are retried with exponential backoff (a `BUSY`
-//! carries its own `retry-after` hint, which is honored when it is
-//! longer than the backoff). Authentication rejection is *not* retried:
-//! a wrong token stays wrong.
+//! Transient failures — connect errors, I/O deadlines, a `BUSY` reply
+//! from a server at its connection limit — are retried with exponential
+//! backoff (a `BUSY` carries its own `retry-after` hint, which is honored
+//! when it is longer than the backoff). A full job queue never answers
+//! `BUSY`; it only delays the reply. Authentication rejection is *not*
+//! retried: a wrong token stays wrong.
 //!
 //! Retrying a `SWEEP` mid-flight is safe by construction: cells are
 //! content-addressed and coalesced server-side, so a re-submitted batch
@@ -31,7 +32,7 @@ pub struct ClientConfig {
     /// Per-attempt connect and I/O deadline.
     pub io_timeout: Duration,
     /// Additional attempts after the first; connect errors, I/O
-    /// failures and `BUSY` shedding all consume one.
+    /// failures and `BUSY` refusals all consume one.
     pub retries: u32,
     /// First retry delay; doubles per retry. A `BUSY retry-after`
     /// longer than the current backoff takes precedence.
@@ -56,7 +57,7 @@ impl ClientConfig {
 enum Attempt {
     /// Full response collected (terminal line included).
     Done(Vec<String>),
-    /// The server shed the request; retry after the given hint.
+    /// The server refused the connection; retry after the given hint.
     Busy(u64),
 }
 

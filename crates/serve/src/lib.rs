@@ -22,8 +22,9 @@
 //! * [`server`] — the `fusesim serve` front-end: a bounded job queue and
 //!   worker pool behind Unix-socket and TCP listeners, with request
 //!   coalescing (two in-flight requests for the same [`key::CellKey`]
-//!   share one simulation), shared-token authentication, per-connection
-//!   deadlines, `BUSY` load shedding and panic-isolated workers.
+//!   share one simulation), back-pressure on a full queue, shared-token
+//!   authentication, per-connection deadlines, a connection limit and
+//!   panic-isolated workers.
 //! * [`transport`] — [`transport::Endpoint`] / [`transport::Listener`] /
 //!   [`transport::Conn`]: one address-and-stream surface over both
 //!   transports, including the shutdown self-wake.

@@ -20,12 +20,12 @@
 //! <- BYE
 //! ```
 //!
-//! Two more server lines shed load instead of answering: a `SWEEP` that
-//! would block on the full bounded job queue — and a connection the
-//! server has no handler capacity for — is refused with
+//! Two more server lines refuse a connection instead of answering: a
+//! connection over the server's connection limit gets
 //! `BUSY retry-after=<ms>` (the client backs off and retries), and a
 //! connection that fails (or skips) a required `AUTH` gets a single
-//! `ERR - …` line before it is closed.
+//! `ERR - …` line; both are then closed. A `SWEEP` is never refused for
+//! its size: a full job queue only delays the reply (back-pressure).
 //!
 //! Cells are named `<workload>/<config>`; both halves are resolved by the
 //! server's [`crate::server::CellBackend`], so clients never ship
@@ -170,9 +170,9 @@ pub fn done_line(hits: u64, misses: u64, errors: u64) -> String {
     format!("DONE hits={hits} misses={misses} errors={errors}")
 }
 
-/// Renders the load-shedding reply: the request was refused because the
-/// bounded job queue (or the connection limit) is full, and the client
-/// should retry after roughly `retry_after_ms` milliseconds.
+/// Renders the connection-limit reply: the server has no handler
+/// capacity for this connection, and the client should retry after
+/// roughly `retry_after_ms` milliseconds.
 pub fn busy_line(retry_after_ms: u64) -> String {
     format!("BUSY retry-after={retry_after_ms}")
 }

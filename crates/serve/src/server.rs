@@ -17,16 +17,16 @@
 //! first) finds the cached record during the under-lock re-check — there
 //! is no interleaving where it re-simulates.
 //!
-//! # Back-pressure and shedding
+//! # Back-pressure
 //!
-//! The job queue is bounded ([`ServerConfig::queue_capacity`]). In-process
-//! callers ([`Server::resolve_batch`]) block in `enqueue` — back-pressure.
-//! Network handlers instead use [`Server::try_resolve_batch`]: a sweep
-//! that would block on the full queue is refused whole with
-//! `BUSY retry-after=<ms>` so the handler thread stays responsive and the
-//! client retries with backoff. Cells of a shed sweep that were already
-//! begun keep simulating in the background — the retry finds them in
-//! flight or cached, so no work is wasted.
+//! The job queue is bounded ([`ServerConfig::queue_capacity`]). Every
+//! caller — in-process batches and network `SWEEP`s alike — goes through
+//! [`Server::resolve_batch`], which blocks in `enqueue` while the queue
+//! is full and resumes as the workers drain it. A blocked handler holds
+//! no lock: `begin` releases the in-flight lock before `enqueue`, so
+//! workers finishing cells (and other handlers coalescing onto them) are
+//! never stuck behind it. A sweep of any size is therefore accepted
+//! whole and keeps every worker fed; the queue bound only caps memory.
 //!
 //! # Fault tolerance
 //!
@@ -37,8 +37,8 @@
 //! deadlines so a dead peer cannot pin a handler thread; the acceptor
 //! treats `accept` errors as transient (bounded retries with backoff),
 //! reaps finished handler threads eagerly, refuses connections over
-//! [`ServeOptions::max_connections`] with a `BUSY` line, and cleans up
-//! its socket on every exit path.
+//! [`ServeOptions::max_connections`] with a `BUSY` line (the only source
+//! of `BUSY`), and cleans up its socket on every exit path.
 //!
 //! # The backend seam
 //!
@@ -104,8 +104,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-listener serving policy: authentication, deadlines, connection
-/// capacity and shedding.
+/// Per-listener serving policy: authentication, deadlines and connection
+/// capacity.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Shared token every connection must present as its first line
@@ -121,7 +121,8 @@ pub struct ServeOptions {
     /// Maximum concurrent connection handlers; connections over the
     /// limit get one `BUSY` line and are closed.
     pub max_connections: usize,
-    /// The `retry-after` hint (milliseconds) sent with `BUSY` replies.
+    /// The `retry-after` hint (milliseconds) sent with the `BUSY` reply
+    /// to a connection over [`ServeOptions::max_connections`].
     pub busy_retry_ms: u64,
     /// Consecutive `accept` failures tolerated (with backoff) before
     /// the serve loop gives up.
@@ -180,16 +181,6 @@ enum Job {
         slot: Arc<InFlight>,
     },
     Stop,
-}
-
-/// How `begin` treats a full job queue: in-process batches apply
-/// back-pressure, network sweeps shed.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Admission {
-    /// Block in `enqueue` until the queue has room.
-    Block,
-    /// Refuse (return `None` from `begin`) instead of blocking.
-    Shed,
 }
 
 /// A deterministic test hook: a thread calling `pause` while the point
@@ -276,55 +267,43 @@ enum Begun {
 
 impl Shared {
     /// Phase 1 of a batch: classify one cell and, on a fresh miss,
-    /// enqueue its job. Does not wait for results; only blocks on a full
-    /// queue when `admission` is [`Admission::Block`] — with
-    /// [`Admission::Shed`] a full queue returns `None` instead.
-    fn begin(&self, spec: &CellSpec, admission: Admission) -> Option<Begun> {
+    /// enqueue its job. Does not wait for results, but blocks while the
+    /// job queue is full (back-pressure).
+    fn begin(&self, spec: &CellSpec) -> Begun {
         let key = match self.backend.key(spec) {
             Ok(k) => k,
-            Err(e) => return Some(Begun::Failed(e)),
+            Err(e) => return Begun::Failed(e),
         };
         // Fast path: lock-free cache probe.
         if let Some(rec) = self.cache.get(&key) {
-            return Some(Begun::Hit(key, rec));
+            return Begun::Hit(key, rec);
         }
         #[cfg(test)]
         self.fresh_pause.pause();
         let mut map = self.inflight.lock().expect("inflight lock");
         if let Some(existing) = map.get(&key.hex) {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
-            return Some(Begun::Pending(key, existing.clone(), false));
+            return Begun::Pending(key, existing.clone(), false);
         }
         // Re-check the cache *under the in-flight lock*: the probe above
         // may have raced the worker's insert-then-remove window, in which
         // case the record is cached by now and the map is empty. Without
-        // this the cell would re-simulate (the coalescing-race bug).
-        if let Some(rec) = self.cache.get(&key) {
-            return Some(Begun::Hit(key, rec));
+        // this the cell would re-simulate (the coalescing-race bug). The
+        // probe already counted this lookup's miss.
+        if let Some(rec) = self.cache.recheck(&key) {
+            return Begun::Hit(key, rec);
         }
         let slot = Arc::new(InFlight::new());
-        let job = Job::Cell {
+        map.insert(key.hex.clone(), slot.clone());
+        // Release the in-flight lock before `enqueue` may block, so the
+        // workers draining the queue can retire their in-flight entries.
+        drop(map);
+        self.enqueue(Job::Cell {
             spec: spec.clone(),
             key: key.clone(),
             slot: slot.clone(),
-        };
-        match admission {
-            Admission::Block => {
-                map.insert(key.hex.clone(), slot.clone());
-                drop(map);
-                self.enqueue(job);
-            }
-            Admission::Shed => {
-                // Holding the in-flight lock across try_enqueue is safe:
-                // the only queue-lock hold is brief and no path takes the
-                // in-flight lock while holding the queue lock. Inserting
-                // the map entry only on success means a shed cell leaves
-                // no dead slot for later arrivals to coalesce onto.
-                self.try_enqueue(job).ok()?;
-                map.insert(key.hex.clone(), slot.clone());
-            }
-        }
-        Some(Begun::Pending(key, slot, true))
+        });
+        Begun::Pending(key, slot, true)
     }
 
     /// Blocks while the queue is at capacity (back-pressure); `Stop`
@@ -340,22 +319,6 @@ impl Shared {
         q.push_back(job);
         drop(q);
         self.not_empty.notify_one();
-    }
-
-    /// Non-blocking enqueue for the shedding path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the job back when the queue is at capacity.
-    fn try_enqueue(&self, job: Job) -> Result<(), Job> {
-        let mut q = self.queue.lock().expect("queue lock");
-        if q.len() >= self.queue_capacity {
-            return Err(job);
-        }
-        q.push_back(job);
-        drop(q);
-        self.not_empty.notify_one();
-        Ok(())
     }
 
     fn worker_loop(self: &Arc<Shared>) {
@@ -407,25 +370,8 @@ impl Shared {
     fn resolve_batch(&self, specs: &[CellSpec]) -> Vec<CellReply> {
         // Enqueue every miss before waiting on any, so one connection's
         // batch spreads across the whole worker pool.
-        let begun: Vec<Begun> = specs
-            .iter()
-            .map(|s| {
-                self.begin(s, Admission::Block)
-                    .expect("Block admission never sheds")
-            })
-            .collect();
+        let begun: Vec<Begun> = specs.iter().map(|s| self.begin(s)).collect();
         self.finish(specs, begun)
-    }
-
-    /// The shedding variant: `None` when any cell of the sweep would
-    /// block on the full queue. Cells begun before the shed keep
-    /// simulating — the client's retry finds them in flight or cached.
-    fn try_resolve_batch(&self, specs: &[CellSpec]) -> Option<Vec<CellReply>> {
-        let begun: Option<Vec<Begun>> = specs
-            .iter()
-            .map(|s| self.begin(s, Admission::Shed))
-            .collect();
-        Some(self.finish(specs, begun?))
     }
 
     /// Phase 2: wait for every pending slot and render replies in
@@ -547,17 +493,11 @@ impl Server {
 
     /// Resolves a batch: cache hits return immediately, misses are
     /// enqueued (all of them, before waiting on any) and awaited. One
-    /// reply per requested cell, in request order. Blocks on a full
-    /// queue (back-pressure) — the in-process entry point.
+    /// reply per requested cell, in request order. Blocks while the job
+    /// queue is full (back-pressure); connection handlers answer `SWEEP`
+    /// through this same path.
     pub fn resolve_batch(&self, specs: &[CellSpec]) -> Vec<CellReply> {
         self.shared.resolve_batch(specs)
-    }
-
-    /// The load-shedding variant used by connection handlers: `None`
-    /// when the sweep would block on the full job queue, in which case
-    /// the caller replies `BUSY` and the client retries.
-    pub fn try_resolve_batch(&self, specs: &[CellSpec]) -> Option<Vec<CellReply>> {
-        self.shared.try_resolve_batch(specs)
     }
 
     /// Resolves a single cell.
@@ -841,24 +781,22 @@ fn handle_conn(shared: &Arc<Shared>, conn: Conn, opts: &ServeOptions) {
                 shared.shutdown_and_wake();
                 return;
             }
-            Ok(Request::Sweep(cells)) => match shared.try_resolve_batch(&cells) {
-                Some(replies) => {
-                    let mut hits = 0u64;
-                    let mut misses = 0u64;
-                    let mut errors = 0u64;
-                    let mut ok = true;
-                    for r in &replies {
-                        match r {
-                            CellReply::Ok { cached: true, .. } => hits += 1,
-                            CellReply::Ok { cached: false, .. } => misses += 1,
-                            CellReply::Err { .. } => errors += 1,
-                        }
-                        ok &= writeln!(writer, "{}", r.line()).is_ok();
+            Ok(Request::Sweep(cells)) => {
+                let replies = shared.resolve_batch(&cells);
+                let mut hits = 0u64;
+                let mut misses = 0u64;
+                let mut errors = 0u64;
+                let mut ok = true;
+                for r in &replies {
+                    match r {
+                        CellReply::Ok { cached: true, .. } => hits += 1,
+                        CellReply::Ok { cached: false, .. } => misses += 1,
+                        CellReply::Err { .. } => errors += 1,
                     }
-                    ok && writeln!(writer, "{}", proto::done_line(hits, misses, errors)).is_ok()
+                    ok &= writeln!(writer, "{}", r.line()).is_ok();
                 }
-                None => writeln!(writer, "{}", proto::busy_line(opts.busy_retry_ms)).is_ok(),
-            },
+                ok && writeln!(writer, "{}", proto::done_line(hits, misses, errors)).is_ok()
+            }
             Err(e) => writeln!(writer, "ERR - {e}").is_ok(),
         };
         if !ok || writer.flush().is_err() {
@@ -971,6 +909,24 @@ mod tests {
             workload: w.to_string(),
             config: c.to_string(),
         }
+    }
+
+    /// Runs `server`'s serve loop on `listener` in a background thread;
+    /// returns the endpoint to dial and the loop's join handle.
+    fn spawn_serve(
+        server: &Arc<Server>,
+        listener: Listener,
+        opts: &ServeOptions,
+    ) -> (Endpoint, JoinHandle<std::io::Result<()>>) {
+        let endpoint = listener.endpoint();
+        let server = server.clone();
+        let opts = opts.clone();
+        let acceptor = std::thread::spawn(move || server.serve(&listener, &opts));
+        (endpoint, acceptor)
+    }
+
+    fn tcp_listener() -> Listener {
+        Listener::bind_tcp("127.0.0.1:0").unwrap()
     }
 
     #[test]
@@ -1255,12 +1211,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// With one worker busy and the one-slot queue full, a shedding sweep
-    /// returns `None` (the wire `BUSY`) instead of blocking; the shed
-    /// work is retryable once the queue drains.
+    /// The probe counts a fresh cell's miss; the re-check under the
+    /// in-flight lock must not count it again.
     #[test]
-    fn full_queue_sheds_instead_of_blocking_the_handler() {
-        let (dir, cache) = tmp_cache("shed");
+    fn fresh_cell_counts_one_miss_and_a_repeat_one_hit() {
+        let (dir, cache) = tmp_cache("misses");
+        let server = Server::new(
+            Arc::new(FakeBackend::free()),
+            cache,
+            ServerConfig::default(),
+        );
+        let s = spec("ATAX", "Dy-FUSE");
+        let counters = |server: &Server| {
+            let st = server.cache().stats();
+            (st.hits, st.misses, st.inserts)
+        };
+        server.resolve(&s);
+        assert_eq!(counters(&server), (0, 1, 1), "(hits, misses, inserts)");
+        server.resolve(&s);
+        assert_eq!(counters(&server), (1, 1, 1), "(hits, misses, inserts)");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With the sole worker held and the one-slot queue full, a TCP
+    /// sweep of three fresh cells blocks its handler instead of being
+    /// refused, and completes in full once the workers drain the queue.
+    #[test]
+    fn full_queue_blocks_a_tcp_sweep_until_the_workers_drain_it() {
+        let (dir, cache) = tmp_cache("backpressure");
         let backend = Arc::new(FakeBackend::gated());
         let server = Arc::new(Server::new(
             backend.clone(),
@@ -1270,31 +1249,84 @@ mod tests {
                 queue_capacity: 1,
             },
         ));
-        let a = {
-            let server = server.clone();
-            std::thread::spawn(move || server.resolve(&spec("HOLD", "Dy-FUSE")))
-        };
+        let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &ServeOptions::default());
+        let mut cfg = ClientConfig::new(endpoint);
+        cfg.retries = 0;
+        let sweep = std::thread::spawn(move || {
+            client::request(&cfg, "SWEEP A/Dy-FUSE B/Dy-FUSE C/Dy-FUSE")
+        });
+        // The worker holds A and B fills the queue, so the handler is
+        // blocked enqueueing C once all three are in flight.
         backend.wait_for_started(1);
-        // Worker is parked in HOLD; B fills the queue's one slot, C must
-        // shed the whole sweep.
-        let shed = server.try_resolve_batch(&[spec("B", "Dy-FUSE"), spec("C", "Dy-FUSE")]);
-        assert!(shed.is_none(), "full queue must shed, not block");
-        backend.release();
-        assert!(matches!(a.join().unwrap(), CellReply::Ok { .. }));
-        // The retry succeeds once the queue drains: B was already begun
-        // (in flight or cached by now), C is fresh. This loop is exactly
-        // the client's BUSY-backoff behavior.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let retry = loop {
-            if let Some(replies) =
-                server.try_resolve_batch(&[spec("B", "Dy-FUSE"), spec("C", "Dy-FUSE")])
-            {
-                break replies;
-            }
-            assert!(std::time::Instant::now() < deadline, "queue never drained");
-            std::thread::sleep(Duration::from_millis(5));
+        while server.inflight_len() < 3 && !sweep.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "C never began");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        backend.release();
+        let lines = sweep.join().unwrap().unwrap();
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        assert_eq!(lines[3], "DONE hits=0 misses=3 errors=0");
+        assert_eq!(backend.calls.load(Ordering::SeqCst), 3);
+        server.request_shutdown();
+        acceptor.join().unwrap().unwrap();
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The connection limit is the only source of `BUSY`: a connection
+    /// over it gets the `retry-after` hint and is closed, and a slot
+    /// freed by a closing connection admits the next client.
+    #[test]
+    fn connection_over_the_limit_gets_busy_until_a_slot_frees() {
+        let (dir, cache) = tmp_cache("connlimit");
+        let server = Arc::new(Server::new(
+            Arc::new(FakeBackend::free()),
+            cache,
+            ServerConfig::default(),
+        ));
+        let opts = ServeOptions {
+            auth_token: Some("s3cr3t".to_string()),
+            max_connections: 1,
+            busy_retry_ms: 250,
+            ..ServeOptions::default()
         };
-        assert!(retry.iter().all(|r| matches!(r, CellReply::Ok { .. })));
+        let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &opts);
+        let read_line = |reader: &mut BufReader<Conn>| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line.trim_end().to_string()
+        };
+        let dial = || {
+            let conn = endpoint.connect(Duration::from_secs(10)).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let reader = BufReader::new(conn.try_clone().unwrap());
+            (conn, reader)
+        };
+        // Hold one authenticated connection open and idle.
+        let (mut idle, mut idle_reader) = dial();
+        writeln!(idle, "AUTH s3cr3t").unwrap();
+        assert_eq!(read_line(&mut idle_reader), proto::AUTH_OK);
+        // The second connection is refused before it sends anything.
+        let (_refused, mut refused_reader) = dial();
+        assert_eq!(read_line(&mut refused_reader), "BUSY retry-after=250");
+        assert_eq!(read_line(&mut refused_reader), "", "connection closed");
+        drop((idle, idle_reader));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while server.active_connections() != 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "idle handler never exited"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let mut cfg = ClientConfig::new(endpoint);
+        cfg.auth_token = Some("s3cr3t".to_string());
+        cfg.retries = 0;
+        assert_eq!(client::request(&cfg, "PING").unwrap(), vec!["PONG"]);
+        server.request_shutdown();
+        acceptor.join().unwrap().unwrap();
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1307,17 +1339,11 @@ mod tests {
             cache,
             ServerConfig::default(),
         ));
-        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-        let endpoint = listener.endpoint();
         let opts = ServeOptions {
             auth_token: Some("s3cr3t".to_string()),
             ..ServeOptions::default()
         };
-        let acceptor = {
-            let server = server.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || server.serve(&listener, &opts))
-        };
+        let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &opts);
         // Right token: full round trip.
         let mut cfg = ClientConfig::new(endpoint.clone());
         cfg.auth_token = Some("s3cr3t".to_string());
@@ -1369,17 +1395,11 @@ mod tests {
             cache,
             ServerConfig::default(),
         ));
-        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-        let endpoint = listener.endpoint();
         let opts = ServeOptions {
             auth_token: Some("s3cr3t".to_string()),
             ..ServeOptions::default()
         };
-        let acceptor = {
-            let server = server.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || server.serve(&listener, &opts))
-        };
+        let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &opts);
         let mut raw = endpoint.connect(Duration::from_secs(10)).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut reader = BufReader::new(raw.try_clone().unwrap());
@@ -1406,17 +1426,11 @@ mod tests {
             cache,
             ServerConfig::default(),
         ));
-        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-        let endpoint = listener.endpoint();
         let opts = ServeOptions {
             read_timeout: Duration::from_millis(100),
             ..ServeOptions::default()
         };
-        let acceptor = {
-            let server = server.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || server.serve(&listener, &opts))
-        };
+        let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &opts);
         let stalled = endpoint.connect(Duration::from_secs(10)).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while server.active_connections() == 0 {
@@ -1448,21 +1462,10 @@ mod tests {
         let server = Arc::new(Server::new(backend.clone(), cache, ServerConfig::default()));
         let sock =
             std::env::temp_dir().join(format!("fuse_serve_dual_{}.sock", std::process::id()));
-        let unix_listener = Listener::bind_unix(&sock).unwrap();
-        let tcp_listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-        let unix_endpoint = unix_listener.endpoint();
-        let tcp_endpoint = tcp_listener.endpoint();
         let opts = ServeOptions::default();
-        let unix_acceptor = {
-            let server = server.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || server.serve(&unix_listener, &opts))
-        };
-        let tcp_acceptor = {
-            let server = server.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || server.serve(&tcp_listener, &opts))
-        };
+        let (unix_endpoint, unix_acceptor) =
+            spawn_serve(&server, Listener::bind_unix(&sock).unwrap(), &opts);
+        let (tcp_endpoint, tcp_acceptor) = spawn_serve(&server, tcp_listener(), &opts);
         let sweep = |endpoint: Endpoint| {
             std::thread::spawn(move || {
                 let mut cfg = ClientConfig::new(endpoint);

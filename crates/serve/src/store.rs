@@ -184,14 +184,27 @@ impl ResultCache {
     /// (absent, corrupt → quarantined, collision) is a counted miss.
     pub fn get(&self, key: &CellKey) -> Option<Arc<CellRecord>> {
         let mut inner = self.inner.lock().expect("cache lock");
-        if !inner.entries.contains_key(&key.hex) {
+        let found = self.lookup_locked(&mut inner, key);
+        if found.is_none() {
             inner.misses += 1;
-            return None;
         }
+        found
+    }
+
+    /// [`ResultCache::get`] for a caller that already counted this
+    /// lookup's miss — the service's re-check under its in-flight lock.
+    /// A hit still counts; a miss does not count again.
+    pub(crate) fn recheck(&self, key: &CellKey) -> Option<Arc<CellRecord>> {
+        let mut inner = self.inner.lock().expect("cache lock");
+        self.lookup_locked(&mut inner, key)
+    }
+
+    /// The lookup behind `get` and `recheck`: counts hits, not misses.
+    fn lookup_locked(&self, inner: &mut Inner, key: &CellKey) -> Option<Arc<CellRecord>> {
+        let entry = inner.entries.get(&key.hex)?;
         // Fast path: already parsed this run.
-        if let Some((rec, text)) = inner.entries.get(&key.hex).and_then(|e| e.loaded.clone()) {
+        if let Some((rec, text)) = entry.loaded.clone() {
             if text != key.text {
-                inner.misses += 1;
                 return None; // digest collision: different question
             }
             inner.clock += 1;
@@ -217,16 +230,12 @@ impl ResultCache {
                 inner.hits += 1;
                 Some(rec)
             }
-            Ok(_) => {
-                // Digest collision (or tampered key text): the stored
-                // result answers a different question. Treat as a miss;
-                // the insert after re-simulation overwrites the entry.
-                inner.misses += 1;
-                None
-            }
+            // Digest collision (or tampered key text): the stored result
+            // answers a different question. Treat as a miss; the insert
+            // after re-simulation overwrites the entry.
+            Ok(_) => None,
             Err(_) => {
-                self.quarantine_locked(&mut inner, &key.hex);
-                inner.misses += 1;
+                self.quarantine_locked(inner, &key.hex);
                 None
             }
         }

@@ -97,8 +97,11 @@ rm -rf "$serve_dir"
 
 # TCP service smoke: serve over authenticated loopback (port 0 = kernel
 # picks; the bound address is parsed from the startup line), reject a
-# wrong token, then do a cold + warm sweep and shut down over the wire.
-echo "==> fusesim serve TCP smoke (auth round trip, cold+warm sweep, clean shutdown)"
+# wrong token, do a cold + warm sweep, then send the whole 147-cell
+# Fig. 13 grid as one request — far more cells than the 64-slot job
+# queue holds, so it must be accepted whole under back-pressure — and
+# shut down over the wire.
+echo "==> fusesim serve TCP smoke (auth round trip, cold+warm sweep, one-request fig13 grid, clean shutdown)"
 tcp_dir=$(mktemp -d /tmp/fuse-verify-tcp.XXXXXX)
 ./target/release/fusesim serve --listen 127.0.0.1:0 --auth-token verify-secret \
     --cache-dir "$tcp_dir/cache" --scale 0.1 --workers 2 >"$tcp_dir/serve.log" &
@@ -121,6 +124,8 @@ fi
     ATAX/Dy-FUSE GEMM/L1-SRAM | grep -qx "DONE hits=0 misses=2 errors=0"
 ./target/release/fusesim submit --addr "$addr" --auth-token verify-secret \
     ATAX/Dy-FUSE GEMM/L1-SRAM | grep -qx "DONE hits=2 misses=0 errors=0"
+./target/release/fusesim submit --addr "$addr" --auth-token verify-secret \
+    --workloads all --configs fig13 | grep -qx "DONE hits=2 misses=145 errors=0"
 ./target/release/fusesim submit --addr "$addr" --auth-token verify-secret --shutdown >/dev/null
 wait "$tcp_pid"
 rm -rf "$tcp_dir"

@@ -57,13 +57,15 @@ USAGE:
                                          requires --auth-token) backed by a result
                                          cache (--cache-dir); overlapping requests
                                          for the same cell share one simulation, a
-                                         full job queue sheds with BUSY, and worker
-                                         panics never hang clients
+                                         sweep of any size is accepted whole (a
+                                         full job queue delays, never refuses),
+                                         and worker panics never hang clients
     fusesim submit [CELLS] [OPTIONS]     client for `fusesim serve`: send a batch of
                                          <workload>/<config> cells (or --workloads x
                                          --configs), --ping, --server-stats, or
                                          --shutdown over --socket or --addr; retries
-                                         transient failures and honors BUSY backoff
+                                         transient failures and honors the BUSY
+                                         backoff of a server at --max-conns
 
 OPTIONS:
     --workload <NAME>    workload name from Table II (default: ATAX)
@@ -76,10 +78,9 @@ OPTIONS:
                          (run; enables the cycle-attribution profiler)
     --trace-out <PATH>   write a Chrome trace_event JSON — load it in
                          Perfetto or about:tracing (run; enables tracing)
-    --metrics-window <N> profiling window in cycles (default 4096; with
-                         `sweep`, opts every cell into profiling)
-    --trace-capacity <N> event-ring capacity (default 65536; oldest events
-                         are overwritten once full)
+    --metrics-window <N> profiling window in cycles (run; default 4096)
+    --trace-capacity <N> event-ring capacity (run; default 65536; oldest
+                         events are overwritten once full)
     --no-skip            disable event-driven cycle skipping (slow tick
                          engine; statistics are bitwise identical)
     --seeds <N>          fuzz seeds to run (check; default 64; 0 skips fuzzing)
@@ -108,7 +109,6 @@ OPTIONS:
     --auth-token <TOK>   shared token: clients must open with `AUTH <TOK>`
                          (serve over TCP: required; submit: sent first)
     --workers <N>        simulation worker threads (serve; default 2)
-    --queue <N>          bounded job-queue capacity (serve; default 64)
     --max-conns <N>      concurrent connection limit; extra connections
                          get `BUSY retry-after=<ms>` (serve; default 64)
     --io-timeout-ms <N>  per-connection read/write deadline so dead peers
@@ -151,7 +151,6 @@ struct Args {
     addr: Option<String>,
     auth_token: Option<String>,
     workers: Option<usize>,
-    queue: Option<usize>,
     max_conns: Option<usize>,
     io_timeout_ms: Option<u64>,
     timeout_ms: Option<u64>,
@@ -194,7 +193,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         addr: None,
         auth_token: None,
         workers: None,
-        queue: None,
         max_conns: None,
         io_timeout_ms: None,
         timeout_ms: None,
@@ -335,14 +333,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 args.workers = Some(n);
             }
-            "--queue" => {
-                let v = argv.next().ok_or("--queue needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad queue capacity {v:?}"))?;
-                if n == 0 {
-                    return Err("--queue must be at least 1".to_string());
-                }
-                args.queue = Some(n);
-            }
             "--ping" => args.ping = true,
             "--server-stats" => args.server_stats = true,
             "--shutdown" => args.shutdown = true,
@@ -356,6 +346,19 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         return Err(format!(
             "unexpected argument {:?} (only `cache` and `submit` take positional arguments)",
             args.positionals[0]
+        ));
+    }
+    // Only `run` writes a profile or trace; any other command would
+    // profile every cell and then drop the result.
+    let observed = args.metrics_out.is_some()
+        || args.metrics_window.is_some()
+        || args.trace_out.is_some()
+        || args.trace_capacity.is_some();
+    if observed && args.command != "run" {
+        return Err(format!(
+            "--metrics-out, --metrics-window, --trace-out and --trace-capacity \
+             apply only to `run`, not `{}`",
+            args.command
         ));
     }
     Ok(args)
@@ -821,7 +824,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let rc = run_config(args)?;
     let config = ServerConfig {
         workers: args.workers.unwrap_or(2),
-        queue_capacity: args.queue.unwrap_or(64),
+        ..ServerConfig::default()
     };
     let io_timeout = Duration::from_millis(args.io_timeout_ms.unwrap_or(30_000));
     let opts = ServeOptions {
@@ -1015,6 +1018,7 @@ mod tests {
             &["run", "--no-active-set"][..],
             &["sweep", "--json", "out.json"][..],
             &["sweep", "--name", "x"][..],
+            &["serve", "--queue", "8"][..],
         ] {
             let e = args(unknown).unwrap_err();
             assert!(e.contains("unknown flag"), "got {e:?}");
@@ -1130,12 +1134,25 @@ mod tests {
         for observer in [
             &["run", "--cache-dir", "/tmp/c", "--metrics-out", "m.json"][..],
             &["run", "--cache-dir", "/tmp/c", "--trace-out", "t.json"][..],
-            &["sweep", "--cache-dir", "/tmp/c", "--metrics-window", "512"][..],
+            &["run", "--cache-dir", "/tmp/c", "--metrics-window", "512"][..],
             &["run", "--cache-dir", "/tmp/c", "--trace-capacity", "16"][..],
         ] {
             let a = args(observer).unwrap();
             let e = run_config(&a).unwrap_err();
             assert!(e.contains("--cache-dir"), "got {e:?}");
+        }
+    }
+
+    #[test]
+    fn observer_flags_are_rejected_outside_run() {
+        for form in [
+            &["sweep", "--metrics-out", "m.json", "--trace-out", "t.json"][..],
+            &["sweep", "--metrics-window", "512"][..],
+            &["compare", "--metrics-out", "m.json"][..],
+            &["compare", "--trace-capacity", "16"][..],
+        ] {
+            let e = args(form).unwrap_err();
+            assert!(e.contains("only to `run`"), "got {e:?}");
         }
     }
 
@@ -1149,13 +1166,10 @@ mod tests {
             "/tmp/c",
             "--workers",
             "4",
-            "--queue",
-            "128",
         ])
         .unwrap();
         assert_eq!(a.socket.as_deref(), Some("/tmp/f.sock"));
         assert_eq!(a.workers, Some(4));
-        assert_eq!(a.queue, Some(128));
 
         let a = args(&[
             "submit",
@@ -1171,7 +1185,6 @@ mod tests {
         assert!(a.shutdown && !a.ping && !a.server_stats);
 
         assert!(args(&["serve", "--workers", "0"]).is_err());
-        assert!(args(&["serve", "--queue", "0"]).is_err());
     }
 
     #[test]

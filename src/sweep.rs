@@ -41,6 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fuse_core::config::{L1Config, L1Preset};
+use fuse_obs::json::{escape, format_f64};
 use fuse_serve::key::CellKey;
 use fuse_serve::store::ResultCache;
 use fuse_workloads::spec::WorkloadSpec;
@@ -172,9 +173,9 @@ impl SweepPlan {
     }
 
     /// Opts every cell into cycle-attribution profiling with the given
-    /// window (`fusesim sweep --metrics-window`). Cell statistics stay
-    /// bitwise identical; the per-cell reports ride along in
-    /// [`RunResult::profile`].
+    /// window (library only: the CLI profiles `fusesim run` alone). Cell
+    /// statistics stay bitwise identical; the per-cell reports ride along
+    /// in [`RunResult::profile`].
     pub fn metrics_window(mut self, window: u64) -> Self {
         self.run_config.metrics_window = Some(window);
         self
@@ -436,10 +437,7 @@ impl SweepReport {
     /// sweep-smoke step diffs.
     pub fn stats_json(&self) -> String {
         let mut s = String::with_capacity(128 + 128 * self.cells.len());
-        s.push_str(&format!(
-            "{{\"name\":{},\"cells\":[\n",
-            json_str(&self.name)
-        ));
+        s.push_str(&format!("{{\"name\":{},\"cells\":[\n", escape(&self.name)));
         for (i, cell) in self.cells.iter().enumerate() {
             if i > 0 {
                 s.push_str(",\n");
@@ -449,11 +447,11 @@ impl SweepReport {
                 "{{\"workload\":{},\"config\":{},\"cycles\":{},\"instructions\":{},\
                  \"ipc\":{},\"l1_hits\":{},\"l1_misses\":{},\"outgoing\":{},\
                  \"dram_accesses\":{}}}",
-                json_str(&r.workload),
-                json_str(&r.config),
+                escape(&r.workload),
+                escape(&r.config),
                 r.sim.cycles,
                 r.sim.instructions,
-                json_f64(r.ipc(), 6),
+                format_f64(r.ipc(), 6),
                 r.sim.l1.hits,
                 r.sim.l1.misses,
                 r.sim.outgoing_requests,
@@ -472,29 +470,6 @@ impl SweepReport {
     pub fn write_stats_json(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.stats_json())
     }
-}
-
-/// Fixed-precision float for JSON digests: negative zero is normalised
-/// and non-finite values clamp to 0 so digests stay byte-stable. The
-/// shared implementation (and its round-trip property tests) live in
-/// [`fuse_obs::json::format_f64`].
-fn json_f64(v: f64, prec: usize) -> String {
-    fuse_obs::json::format_f64(v, prec)
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -593,30 +568,6 @@ mod tests {
             prof.stats_json(),
             "the engine-independent digest must not change under profiling"
         );
-    }
-
-    #[test]
-    fn json_f64_never_emits_negative_zero_or_non_finite() {
-        assert_eq!(
-            json_f64(-0.00004, 4),
-            "0.0000",
-            "tiny negative rounds clean"
-        );
-        assert_eq!(json_f64(-0.0, 3), "0.000");
-        assert_eq!(json_f64(f64::NAN, 2), "0.00");
-        assert_eq!(json_f64(f64::NEG_INFINITY, 1), "0.0");
-        assert_eq!(
-            json_f64(-1.25, 2),
-            "-1.25",
-            "real negatives keep their sign"
-        );
-        assert_eq!(json_f64(2.0 / 3.0, 6), "0.666667");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
     }
 
     fn tmp_cache(tag: &str) -> (std::path::PathBuf, Arc<ResultCache>) {
