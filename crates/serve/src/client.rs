@@ -1,4 +1,4 @@
-//! Retrying line-protocol client for both transports.
+//! Retrying line-protocol client.
 //!
 //! `fusesim submit` (and the `serve_load` bench) drive the service
 //! through this module: one [`request`] call dials the endpoint,
@@ -26,8 +26,8 @@ use crate::transport::{Conn, Endpoint};
 pub struct ClientConfig {
     /// Where the service listens.
     pub endpoint: Endpoint,
-    /// Shared token sent as the `AUTH` preamble (mandatory for TCP
-    /// servers; `None` skips the preamble).
+    /// Shared token sent as the `AUTH` preamble (mandatory against a
+    /// `fusesim serve` server; `None` skips the preamble).
     pub auth_token: Option<String>,
     /// Per-attempt connect and I/O deadline.
     pub io_timeout: Duration,

@@ -20,14 +20,14 @@
 //! * [`store`] — [`store::ResultCache`]: an in-memory + persisted-on-disk
 //!   cache with LRU byte-budget eviction and corrupt-entry quarantine.
 //! * [`server`] — the `fusesim serve` front-end: a bounded job queue and
-//!   worker pool behind Unix-socket and TCP listeners, with request
-//!   coalescing (two in-flight requests for the same [`key::CellKey`]
-//!   share one simulation), back-pressure on a full queue, shared-token
+//!   worker pool behind a TCP listener, with request coalescing (two
+//!   in-flight requests for the same [`key::CellKey`] share one
+//!   simulation), back-pressure on a full queue, shared-token
 //!   authentication, per-connection deadlines, a connection limit and
 //!   panic-isolated workers.
 //! * [`transport`] — [`transport::Endpoint`] / [`transport::Listener`] /
-//!   [`transport::Conn`]: one address-and-stream surface over both
-//!   transports, including the shutdown self-wake.
+//!   [`transport::Conn`]: the TCP address-and-stream surface, including
+//!   the shutdown self-wake.
 //! * [`auth`] — constant-time shared-token comparison for the `AUTH`
 //!   protocol line.
 //! * [`proto`] — the line-based wire protocol shared by server and

@@ -1,8 +1,9 @@
 //! The line-based wire protocol between `fusesim serve` and its clients.
 //!
 //! Deliberately boring: one request per line, UTF-8 text, newline
-//! terminated, so `nc -U` works as a debugging client and the parser
-//! cannot be confused by framing. A connection may issue any number of
+//! terminated, so `nc <host> <port>` works as a debugging client (type
+//! `AUTH <token>` as the first line) and the parser cannot be confused
+//! by framing. A connection may issue any number of
 //! requests; the server answers each in order.
 //!
 //! ```text

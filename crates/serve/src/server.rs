@@ -1,5 +1,5 @@
 //! The `fusesim serve` front-end: a bounded job queue and worker pool
-//! behind a Unix socket and/or a TCP listener.
+//! behind a TCP listener.
 //!
 //! # Coalescing
 //!
@@ -38,7 +38,7 @@
 //! treats `accept` errors as transient (bounded retries with backoff),
 //! reaps finished handler threads eagerly, refuses connections over
 //! [`ServeOptions::max_connections`] with a `BUSY` line (the only source
-//! of `BUSY`), and cleans up its socket on every exit path.
+//! of `BUSY`), and joins every handler before it returns.
 //!
 //! # The backend seam
 //!
@@ -51,7 +51,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -109,38 +108,35 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Shared token every connection must present as its first line
-    /// (`AUTH <token>`); `None` disables authentication. Mandatory for
-    /// TCP listeners — enforced by the `fusesim` CLI.
+    /// (`AUTH <token>`); `None` disables authentication. The `fusesim`
+    /// CLI always sets one.
     pub auth_token: Option<String>,
-    /// Per-connection read deadline: a peer that goes quiet longer than
-    /// this is disconnected instead of pinning its handler thread.
-    pub read_timeout: Duration,
-    /// Per-connection write deadline: a peer that stops draining its
-    /// socket is disconnected.
-    pub write_timeout: Duration,
+    /// Per-connection read and write deadline: a peer that goes quiet,
+    /// or stops draining its socket, longer than this is disconnected
+    /// instead of pinning its handler thread.
+    pub io_timeout: Duration,
     /// Maximum concurrent connection handlers; connections over the
     /// limit get one `BUSY` line and are closed.
     pub max_connections: usize,
-    /// The `retry-after` hint (milliseconds) sent with the `BUSY` reply
-    /// to a connection over [`ServeOptions::max_connections`].
-    pub busy_retry_ms: u64,
-    /// Consecutive `accept` failures tolerated (with backoff) before
-    /// the serve loop gives up.
-    pub max_accept_errors: u32,
 }
 
 impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             auth_token: None,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
+            io_timeout: Duration::from_secs(30),
             max_connections: 64,
-            busy_retry_ms: 100,
-            max_accept_errors: 8,
         }
     }
 }
+
+/// The `retry-after` hint (milliseconds) sent with the `BUSY` reply to a
+/// connection over [`ServeOptions::max_connections`].
+const BUSY_RETRY_MS: u64 = 100;
+
+/// Consecutive `accept` failures tolerated (with backoff) before the
+/// serve loop gives up.
+const MAX_ACCEPT_ERRORS: u32 = 8;
 
 /// A completion slot shared by every request coalesced onto one
 /// simulation.
@@ -447,7 +443,7 @@ impl Drop for HandlerGuard {
 }
 
 /// The batch simulation service: worker pool + bounded queue + coalescing
-/// front-end, optionally exposed over Unix-socket and TCP listeners.
+/// front-end, optionally exposed over a TCP listener.
 pub struct Server {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -539,9 +535,7 @@ impl Server {
     }
 
     /// Serves the line protocol on `listener` until a `SHUTDOWN` request
-    /// (or [`Server::request_shutdown`]) arrives. Several serve loops may
-    /// run concurrently on one server — e.g. a Unix socket and a TCP
-    /// listener sharing the cache and worker pool. Accept errors are
+    /// (or [`Server::request_shutdown`]) arrives. Accept errors are
     /// transient (bounded retries with backoff); finished handler threads
     /// are reaped as the loop runs and all remaining handlers are joined
     /// before this returns, so every accepted batch completes. Call
@@ -549,9 +543,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the last `accept` error after
-    /// [`ServeOptions::max_accept_errors`] consecutive failures; the
-    /// socket is still cleaned up.
+    /// Returns the last `accept` error after a run of consecutive
+    /// failures; the remaining handlers are still joined.
     pub fn serve(&self, listener: &Listener, opts: &ServeOptions) -> std::io::Result<()> {
         let endpoint = listener.endpoint();
         self.shared
@@ -575,7 +568,7 @@ impl Server {
                         break Ok(());
                     }
                     consecutive_errors += 1;
-                    if consecutive_errors >= opts.max_accept_errors.max(1) {
+                    if consecutive_errors >= MAX_ACCEPT_ERRORS {
                         break Err(e);
                     }
                     std::thread::sleep(Duration::from_millis(10u64 << consecutive_errors.min(6)));
@@ -590,8 +583,8 @@ impl Server {
             reap_finished(&mut handlers);
             if self.shared.active_conns.load(Ordering::Acquire) >= opts.max_connections.max(1) {
                 let mut conn = conn;
-                let _ = conn.set_write_timeout(Some(opts.write_timeout));
-                let _ = writeln!(conn, "{}", proto::busy_line(opts.busy_retry_ms));
+                let _ = conn.set_write_timeout(Some(opts.io_timeout));
+                let _ = writeln!(conn, "{}", proto::busy_line(BUSY_RETRY_MS));
                 continue;
             }
             self.shared.active_conns.fetch_add(1, Ordering::AcqRel);
@@ -623,19 +616,7 @@ impl Server {
             .lock()
             .expect("wakers lock")
             .retain(|e| e != &endpoint);
-        listener.cleanup();
         result
-    }
-
-    /// Serves on a Unix socket at `path` with default [`ServeOptions`]
-    /// (no auth). Convenience wrapper over [`Server::serve`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures and fatal accept errors.
-    pub fn serve_unix(&self, path: &Path) -> std::io::Result<()> {
-        let listener = Listener::bind_unix(path)?;
-        self.serve(&listener, &ServeOptions::default())
     }
 
     /// Stops and joins the worker pool after all queued jobs drain.
@@ -716,8 +697,8 @@ fn read_capped_line(reader: &mut impl BufRead) -> LineRead {
 }
 
 fn handle_conn(shared: &Arc<Shared>, conn: Conn, opts: &ServeOptions) {
-    let _ = conn.set_read_timeout(Some(opts.read_timeout));
-    let _ = conn.set_write_timeout(Some(opts.write_timeout));
+    let _ = conn.set_read_timeout(Some(opts.io_timeout));
+    let _ = conn.set_write_timeout(Some(opts.io_timeout));
     let Ok(read_half) = conn.try_clone() else {
         return;
     };
@@ -810,7 +791,6 @@ mod tests {
     use super::*;
     use crate::client::{self, ClientConfig};
     use crate::key::digest_hex;
-    use std::os::unix::net::UnixStream;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
@@ -1030,36 +1010,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The raw wire exchange: every reply line of a session, and a
+    /// `SHUTDOWN` that stops the serve loop cleanly.
     #[test]
-    fn unix_socket_end_to_end_with_clean_shutdown() {
-        let (dir, cache) = tmp_cache("sock");
+    fn tcp_end_to_end_with_clean_shutdown() {
+        let (dir, cache) = tmp_cache("wire");
         let backend = Arc::new(FakeBackend::free());
         let server = Arc::new(Server::new(backend.clone(), cache, ServerConfig::default()));
-        let sock =
-            std::env::temp_dir().join(format!("fuse_serve_test_{}.sock", std::process::id()));
-        let acceptor = {
-            let server = server.clone();
-            let sock = sock.clone();
-            std::thread::spawn(move || server.serve_unix(&sock))
-        };
-        // Wait for the socket to appear.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut conn = loop {
-            match UnixStream::connect(&sock) {
-                Ok(c) => break c,
-                Err(_) => {
-                    assert!(std::time::Instant::now() < deadline, "socket never bound");
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        };
+        let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &ServeOptions::default());
+        let mut conn = endpoint.connect(Duration::from_secs(10)).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
-        fn next(reader: &mut BufReader<UnixStream>) -> String {
+        fn next(reader: &mut BufReader<Conn>) -> String {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
             line.trim_end().to_string()
         }
-        fn ask(conn: &mut UnixStream, reader: &mut BufReader<UnixStream>, req: &str) -> String {
+        fn ask(conn: &mut Conn, reader: &mut BufReader<Conn>, req: &str) -> String {
             writeln!(conn, "{req}").unwrap();
             conn.flush().unwrap();
             next(reader)
@@ -1084,7 +1052,6 @@ mod tests {
         );
         assert_eq!(ask(&mut conn, &mut reader, "SHUTDOWN"), "BYE");
         acceptor.join().unwrap().unwrap();
-        assert!(!sock.exists(), "socket file removed on shutdown");
         assert_eq!(backend.calls.load(Ordering::SeqCst), 1);
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1288,7 +1255,6 @@ mod tests {
         let opts = ServeOptions {
             auth_token: Some("s3cr3t".to_string()),
             max_connections: 1,
-            busy_retry_ms: 250,
             ..ServeOptions::default()
         };
         let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &opts);
@@ -1310,7 +1276,7 @@ mod tests {
         assert_eq!(read_line(&mut idle_reader), proto::AUTH_OK);
         // The second connection is refused before it sends anything.
         let (_refused, mut refused_reader) = dial();
-        assert_eq!(read_line(&mut refused_reader), "BUSY retry-after=250");
+        assert_eq!(read_line(&mut refused_reader), "BUSY retry-after=100");
         assert_eq!(read_line(&mut refused_reader), "", "connection closed");
         drop((idle, idle_reader));
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -1427,7 +1393,7 @@ mod tests {
             ServerConfig::default(),
         ));
         let opts = ServeOptions {
-            read_timeout: Duration::from_millis(100),
+            io_timeout: Duration::from_millis(100),
             ..ServeOptions::default()
         };
         let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &opts);
@@ -1452,20 +1418,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One server, two transports: a Unix and a TCP client sweeping the
-    /// same cell concurrently coalesce onto exactly one simulation, and
-    /// one SHUTDOWN stops both serve loops.
+    /// Two clients sweeping the same cell concurrently over the wire
+    /// coalesce onto exactly one simulation, and one `SHUTDOWN` stops the
+    /// serve loop.
     #[test]
-    fn unix_and_tcp_clients_share_one_simulation() {
-        let (dir, cache) = tmp_cache("dual");
+    fn concurrent_tcp_clients_share_one_simulation() {
+        let (dir, cache) = tmp_cache("shared");
         let backend = Arc::new(FakeBackend::gated());
         let server = Arc::new(Server::new(backend.clone(), cache, ServerConfig::default()));
-        let sock =
-            std::env::temp_dir().join(format!("fuse_serve_dual_{}.sock", std::process::id()));
-        let opts = ServeOptions::default();
-        let (unix_endpoint, unix_acceptor) =
-            spawn_serve(&server, Listener::bind_unix(&sock).unwrap(), &opts);
-        let (tcp_endpoint, tcp_acceptor) = spawn_serve(&server, tcp_listener(), &opts);
+        let (endpoint, acceptor) = spawn_serve(&server, tcp_listener(), &ServeOptions::default());
         let sweep = |endpoint: Endpoint| {
             std::thread::spawn(move || {
                 let mut cfg = ClientConfig::new(endpoint);
@@ -1473,16 +1434,16 @@ mod tests {
                 client::request(&cfg, "SWEEP ATAX/Dy-FUSE").unwrap()
             })
         };
-        let ua = sweep(unix_endpoint.clone());
+        let first = sweep(endpoint.clone());
         backend.wait_for_started(1);
-        let ta = sweep(tcp_endpoint.clone());
+        let second = sweep(endpoint.clone());
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while server.coalesced() == 0 {
             assert!(std::time::Instant::now() < deadline, "never coalesced");
             std::thread::sleep(Duration::from_millis(2));
         }
         backend.release();
-        for handle in [ua, ta] {
+        for handle in [first, second] {
             let lines = handle.join().unwrap();
             assert!(
                 lines.last().unwrap().ends_with("errors=0"),
@@ -1492,14 +1453,11 @@ mod tests {
         assert_eq!(
             backend.calls.load(Ordering::SeqCst),
             1,
-            "both transports coalesced onto one simulation"
+            "both clients coalesced onto one simulation"
         );
-        // One SHUTDOWN (over TCP) wakes and stops both serve loops.
-        let cfg = ClientConfig::new(tcp_endpoint);
+        let cfg = ClientConfig::new(endpoint);
         assert_eq!(client::request(&cfg, "SHUTDOWN").unwrap(), vec!["BYE"]);
-        unix_acceptor.join().unwrap().unwrap();
-        tcp_acceptor.join().unwrap().unwrap();
-        assert!(!sock.exists(), "socket file removed on shutdown");
+        acceptor.join().unwrap().unwrap();
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -138,11 +138,16 @@ impl ResultCache {
             if !shard.file_type()?.is_dir() {
                 continue;
             }
+            let shard_name = shard.file_name();
+            let shard_name = shard_name.to_string_lossy();
             for f in std::fs::read_dir(shard.path())? {
                 let f = f?;
                 let name = f.file_name();
                 let name = name.to_string_lossy();
-                let Some(digest) = name.strip_suffix(".cell") else {
+                let Some(digest) = name
+                    .strip_suffix(".cell")
+                    .filter(|d| is_entry_name(&shard_name, d))
+                else {
                     continue; // quarantined or foreign files stay put
                 };
                 let meta = f.metadata()?;
@@ -175,6 +180,9 @@ impl ResultCache {
         })
     }
 
+    /// Where the entry for `digest` lives. Only called with indexed
+    /// digests, which [`is_entry_name`] vetted at open or which came from
+    /// a [`CellKey`].
     fn path_of(&self, digest: &str) -> PathBuf {
         self.root.join(&digest[..2]).join(format!("{digest}.cell"))
     }
@@ -387,6 +395,18 @@ impl ResultCache {
     }
 }
 
+/// Whether `digest` names an entry inside the shard directory `shard`:
+/// 32 lowercase hex digits whose first two are the shard's name. Any
+/// other `.cell` file is foreign and never indexed, so eviction and
+/// quarantine never touch a path the layout did not produce.
+fn is_entry_name(shard: &str, digest: &str) -> bool {
+    digest.len() == 32
+        && digest
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+        && digest[..2] == *shard
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +568,44 @@ mod tests {
         cache.insert(&key, record_for(1)).unwrap();
         assert!(cache.get(&key).is_some());
         assert_eq!(cache.stats().entries, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `.cell` file the layout did not write — a short name, or a
+    /// digest filed under the wrong shard — is foreign: open does not
+    /// index it, and verify and gc neither panic on it nor count it.
+    #[test]
+    fn stray_cell_files_are_left_alone() {
+        let dir = tmp_dir("stray");
+        let cache = ResultCache::open(&dir, None).unwrap();
+        let key = key_for(100);
+        cache.insert(&key, record_for(1)).unwrap();
+        drop(cache);
+        let root = dir.join(LAYOUT_DIR);
+        std::fs::create_dir_all(root.join("ab")).unwrap();
+        std::fs::create_dir_all(root.join("zz")).unwrap();
+        let strays = [
+            root.join("ab").join("x.cell"),
+            root.join("zz").join(format!("ab01{}.cell", "0".repeat(28))),
+            root.join("ab").join(format!("AB01{}.cell", "0".repeat(28))),
+        ];
+        for stray in &strays {
+            std::fs::write(stray, "not an entry").unwrap();
+        }
+
+        let cache = ResultCache::open(&dir, None).unwrap();
+        assert_eq!(cache.stats().entries, 1, "only the real entry is indexed");
+        assert_eq!(
+            cache.verify(),
+            vec![VerifyOutcome::Ok {
+                digest: key.hex.clone()
+            }]
+        );
+        assert_eq!(cache.stats().quarantined, 0);
+        assert_eq!(cache.gc(0), 1, "only the real entry is evicted");
+        for stray in &strays {
+            assert!(stray.exists(), "{} must stay put", stray.display());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,80 +1,60 @@
-//! Transport abstraction: the batch service speaks one line protocol
-//! over two byte streams — a local Unix socket and TCP.
+//! Transport: the batch service speaks one line protocol over TCP.
 //!
-//! [`Listener`] is a bound server socket on either transport,
-//! [`Conn`] an accepted (or dialed) connection, and [`Endpoint`] the
-//! address a client connects to — which doubles as the server's
-//! self-wake handle: a shutdown pokes every registered endpoint with a
-//! throwaway connection so acceptors blocked in `accept` observe the
-//! stop flag instead of waiting for a client that will never come.
+//! [`Listener`] is a bound server socket, [`Conn`] an accepted (or
+//! dialed) connection, and [`Endpoint`] the address a client connects
+//! to — which doubles as the server's self-wake handle: a shutdown pokes
+//! every registered endpoint with a throwaway connection so acceptors
+//! blocked in `accept` observe the stop flag instead of waiting for a
+//! client that will never come.
 //!
-//! Both stream types expose the same deadline surface
+//! Connections carry read and write deadlines
 //! (`SO_RCVTIMEO`/`SO_SNDTIMEO` via [`Conn::set_read_timeout`] /
 //! [`Conn::set_write_timeout`]), which is what lets the server evict
 //! dead clients instead of letting them pin handler threads.
 
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// Where a service listens, or where a client connects: one address
-/// type covering both transports.
+/// Where a service listens, or where a client connects: a TCP
+/// `host:port` string, resolved at connect time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Endpoint {
-    /// A filesystem Unix-socket path.
-    Unix(PathBuf),
-    /// A TCP `host:port` string, resolved at connect time.
-    Tcp(String),
+pub struct Endpoint {
+    addr: String,
 }
 
 impl Endpoint {
-    /// A Unix-socket endpoint at `path`.
-    pub fn unix(path: impl Into<PathBuf>) -> Endpoint {
-        Endpoint::Unix(path.into())
-    }
-
     /// A TCP endpoint at `addr` (`host:port`).
     pub fn tcp(addr: impl Into<String>) -> Endpoint {
-        Endpoint::Tcp(addr.into())
+        Endpoint { addr: addr.into() }
     }
 
-    /// Human-readable `unix:<path>` / `tcp:<addr>` rendering.
+    /// Human-readable `tcp:<addr>` rendering.
     pub fn describe(&self) -> String {
-        match self {
-            Endpoint::Unix(p) => format!("unix:{}", p.display()),
-            Endpoint::Tcp(a) => format!("tcp:{a}"),
-        }
+        format!("tcp:{}", self.addr)
     }
 
-    /// Dials the endpoint. TCP resolves the address and applies
-    /// `timeout` as a connect deadline per resolved address; Unix-socket
-    /// connects are local rendezvous and use the plain connect.
+    /// Dials the endpoint: resolves the address and applies `timeout` as
+    /// a connect deadline per resolved address.
     ///
     /// # Errors
     ///
     /// Resolution or connection failure (the last error when several
     /// resolved addresses all fail).
     pub fn connect(&self, timeout: Duration) -> io::Result<Conn> {
-        match self {
-            Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
-            Endpoint::Tcp(addr) => {
-                let mut last: Option<io::Error> = None;
-                for sa in addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&sa, timeout) {
-                        Ok(s) => return Ok(Conn::Tcp(s)),
-                        Err(e) => last = Some(e),
-                    }
-                }
-                Err(last.unwrap_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("{addr}: resolved to no addresses"),
-                    )
-                }))
+        let mut last: Option<io::Error> = None;
+        for sa in self.addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&sa, timeout) {
+                Ok(s) => return Ok(Conn::Tcp(s)),
+                Err(e) => last = Some(e),
             }
         }
+        Err(last.unwrap_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{}: resolved to no addresses", self.addr),
+            )
+        }))
     }
 
     /// Best-effort poke: opens and immediately drops a connection so an
@@ -86,59 +66,32 @@ impl Endpoint {
     }
 }
 
-/// A bound server socket on either transport.
-pub enum Listener {
-    /// Unix-socket listener plus the path to clean up on shutdown.
-    Unix {
-        /// The bound listener.
-        listener: UnixListener,
-        /// Where it is bound (removed by [`Listener::cleanup`]).
-        path: PathBuf,
-    },
-    /// TCP listener.
-    Tcp(TcpListener),
+/// A bound TCP listener and the endpoint that dials it.
+pub struct Listener {
+    listener: TcpListener,
+    endpoint: Endpoint,
 }
 
 impl Listener {
-    /// Binds a Unix socket at `path`, replacing a stale socket file from
-    /// a previous run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind_unix(path: &Path) -> io::Result<Listener> {
-        let _ = std::fs::remove_file(path);
-        Ok(Listener::Unix {
-            listener: UnixListener::bind(path)?,
-            path: path.to_path_buf(),
-        })
-    }
-
     /// Binds a TCP listener on `addr` (`host:port`; port 0 picks a free
     /// port — read it back from [`Listener::endpoint`]).
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or a failure to read back the bound
+    /// address.
     pub fn bind_tcp(addr: &str) -> io::Result<Listener> {
-        TcpListener::bind(addr).map(Listener::Tcp)
+        let listener = TcpListener::bind(addr)?;
+        let endpoint = Endpoint::tcp(connectable(listener.local_addr()?).to_string());
+        Ok(Listener { listener, endpoint })
     }
 
     /// The endpoint clients (and the shutdown wake) connect to. For a
-    /// TCP listener bound on an unspecified address (`0.0.0.0` / `::`)
-    /// the endpoint substitutes the loopback address, which is where a
+    /// listener bound on an unspecified address (`0.0.0.0` / `::`) the
+    /// endpoint substitutes the loopback address, which is where a
     /// self-wake must dial.
     pub fn endpoint(&self) -> Endpoint {
-        match self {
-            Listener::Unix { path, .. } => Endpoint::Unix(path.clone()),
-            Listener::Tcp(l) => {
-                let addr = l
-                    .local_addr()
-                    .map(|a| connectable(a).to_string())
-                    .unwrap_or_default();
-                Endpoint::Tcp(addr)
-            }
-        }
+        self.endpoint.clone()
     }
 
     /// Blocks until the next connection arrives.
@@ -147,17 +100,7 @@ impl Listener {
     ///
     /// Propagates the accept failure (callers treat these as transient).
     pub fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Unix { listener, .. } => listener.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-        }
-    }
-
-    /// Removes a Unix socket file; no-op for TCP. Always safe to call.
-    pub fn cleanup(&self) {
-        if let Listener::Unix { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
+        self.listener.accept().map(|(s, _)| Conn::Tcp(s))
     }
 }
 
@@ -173,16 +116,20 @@ fn connectable(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// One accepted or dialed connection on either transport.
+/// One accepted or dialed connection. Matching `Conn::Tcp` reaches the
+/// stream itself, e.g. for `set_nodelay`.
 #[derive(Debug)]
 pub enum Conn {
-    /// Unix-socket stream.
-    Unix(UnixStream),
     /// TCP stream.
     Tcp(TcpStream),
 }
 
 impl Conn {
+    fn stream(&self) -> &TcpStream {
+        let Conn::Tcp(s) = self;
+        s
+    }
+
     /// A second handle on the same socket (the server splits each
     /// connection into a buffered reader and writer).
     ///
@@ -190,10 +137,7 @@ impl Conn {
     ///
     /// Propagates the descriptor duplication failure.
     pub fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-        }
+        self.stream().try_clone().map(Conn::Tcp)
     }
 
     /// Read deadline (`None` blocks forever). Applies to the underlying
@@ -203,10 +147,7 @@ impl Conn {
     ///
     /// Propagates the socket-option failure.
     pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_read_timeout(dur),
-            Conn::Tcp(s) => s.set_read_timeout(dur),
-        }
+        self.stream().set_read_timeout(dur)
     }
 
     /// Write deadline (`None` blocks forever). Applies to the underlying
@@ -216,35 +157,25 @@ impl Conn {
     ///
     /// Propagates the socket-option failure.
     pub fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_write_timeout(dur),
-            Conn::Tcp(s) => s.set_write_timeout(dur),
-        }
+        self.stream().set_write_timeout(dur)
     }
 }
 
+// `Read`/`Write` are implemented for `&TcpStream`, so a shared borrow
+// of the stream serves both.
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
+        self.stream().read(buf)
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
+        self.stream().write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
+        self.stream().flush()
     }
 }
 
@@ -253,8 +184,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn endpoints_describe_both_transports() {
-        assert_eq!(Endpoint::unix("/tmp/x.sock").describe(), "unix:/tmp/x.sock");
+    fn endpoints_describe_their_address() {
         assert_eq!(
             Endpoint::tcp("127.0.0.1:7000").describe(),
             "tcp:127.0.0.1:7000"
@@ -278,16 +208,15 @@ mod tests {
     #[test]
     fn tcp_listener_reports_a_dialable_endpoint() {
         let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
-        let Endpoint::Tcp(addr) = listener.endpoint() else {
-            panic!("tcp listener must report a tcp endpoint");
-        };
-        assert!(addr.starts_with("127.0.0.1:"), "{addr}");
+        let endpoint = listener.endpoint();
+        let addr = endpoint.describe();
+        assert!(addr.starts_with("tcp:127.0.0.1:"), "{addr}");
         assert!(
             !addr.ends_with(":0"),
             "port 0 must resolve to the bound port"
         );
         // Dialing the reported endpoint reaches the listener.
-        let client = listener.endpoint().connect(Duration::from_secs(5)).unwrap();
+        let client = endpoint.connect(Duration::from_secs(5)).unwrap();
         let accepted = listener.accept().unwrap();
         drop((client, accepted));
     }

@@ -33,6 +33,14 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
+# The benchmark (perfbench/, its own cargo workspace) builds against the
+# public API of the umbrella crate; type-check it here so an API change
+# fails this gate rather than the benchmark run. --locked keeps
+# perfbench/Cargo.lock untouched.
+echo "==> cargo check (perfbench)"
+CARGO_TARGET_DIR=target/perfbench-check cargo check --offline --locked \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
@@ -75,33 +83,13 @@ diff /tmp/fuse-verify-cold.json /tmp/fuse-verify-warm-tick.json
 ./target/release/fusesim cache verify --cache-dir "$cache_dir" >/dev/null
 rm -rf "$cache_dir"
 
-# Service smoke: start `fusesim serve`, race two overlapping batches at
-# it, then shut it down cleanly. Coalescing and the bounded queue are
-# unit-tested; this exercises the socket path end to end through the CLI.
-echo "==> fusesim serve smoke (two overlapping batches, clean shutdown)"
-serve_dir=$(mktemp -d /tmp/fuse-verify-serve.XXXXXX)
-sock="$serve_dir/fusesim.sock"
-./target/release/fusesim serve --socket "$sock" --cache-dir "$serve_dir/cache" \
-    --scale 0.1 --workers 2 >/dev/null &
-serve_pid=$!
-for _ in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.1; done
-./target/release/fusesim submit --socket "$sock" \
-    ATAX/Dy-FUSE GEMM/Dy-FUSE ATAX/L1-SRAM >/dev/null &
-batch_pid=$!
-./target/release/fusesim submit --socket "$sock" \
-    ATAX/Dy-FUSE GEMM/L1-SRAM ATAX/L1-SRAM >/dev/null
-wait "$batch_pid"
-./target/release/fusesim submit --socket "$sock" --shutdown >/dev/null
-wait "$serve_pid"
-rm -rf "$serve_dir"
-
-# TCP service smoke: serve over authenticated loopback (port 0 = kernel
+# Service smoke: serve over authenticated loopback (port 0 = kernel
 # picks; the bound address is parsed from the startup line), reject a
 # wrong token, do a cold + warm sweep, then send the whole 147-cell
 # Fig. 13 grid as one request — far more cells than the 64-slot job
 # queue holds, so it must be accepted whole under back-pressure — and
 # shut down over the wire.
-echo "==> fusesim serve TCP smoke (auth round trip, cold+warm sweep, one-request fig13 grid, clean shutdown)"
+echo "==> fusesim serve smoke (auth round trip, cold+warm sweep, one-request fig13 grid, clean shutdown)"
 tcp_dir=$(mktemp -d /tmp/fuse-verify-tcp.XXXXXX)
 ./target/release/fusesim serve --listen 127.0.0.1:0 --auth-token verify-secret \
     --cache-dir "$tcp_dir/cache" --scale 0.1 --workers 2 >"$tcp_dir/serve.log" &

@@ -52,20 +52,20 @@ USAGE:
                                                             the command
                                            gc --max-bytes N evict LRU entries over N bytes
                                            rm <DIGEST>      invalidate one cell by digest
-    fusesim serve [OPTIONS]              serve batched sweep requests over a Unix
-                                         socket (--socket) and/or TCP (--listen,
-                                         requires --auth-token) backed by a result
-                                         cache (--cache-dir); overlapping requests
-                                         for the same cell share one simulation, a
-                                         sweep of any size is accepted whole (a
-                                         full job queue delays, never refuses),
+    fusesim serve [OPTIONS]              serve batched sweep requests over TCP
+                                         (--listen, requires --auth-token) backed
+                                         by a result cache (--cache-dir);
+                                         overlapping requests for the same cell
+                                         share one simulation, a sweep of any
+                                         size is accepted whole (a full job
+                                         queue delays, never refuses),
                                          and worker panics never hang clients
     fusesim submit [CELLS] [OPTIONS]     client for `fusesim serve`: send a batch of
                                          <workload>/<config> cells (or --workloads x
                                          --configs), --ping, --server-stats, or
-                                         --shutdown over --socket or --addr; retries
-                                         transient failures and honors the BUSY
-                                         backoff of a server at --max-conns
+                                         --shutdown to --addr; retries transient
+                                         failures and honors the BUSY backoff of
+                                         a server at --max-conns
 
 OPTIONS:
     --workload <NAME>    workload name from Table II (default: ATAX)
@@ -100,14 +100,12 @@ OPTIONS:
     --cache-max-bytes <N> byte budget for --cache-dir; least-recently-used
                          entries are evicted over budget
     --max-bytes <N>      target size for `cache gc`
-    --socket <PATH>      Unix socket path (serve/submit)
     --listen <ADDR>      TCP listen address, e.g. 127.0.0.1:7070 — port 0
                          picks a free port, printed on start (serve;
-                         requires --auth-token; may be combined with
-                         --socket to serve both transports)
-    --addr <HOST:PORT>   TCP server address (submit; alternative to --socket)
+                         requires --auth-token)
+    --addr <HOST:PORT>   TCP server address (submit)
     --auth-token <TOK>   shared token: clients must open with `AUTH <TOK>`
-                         (serve over TCP: required; submit: sent first)
+                         (serve: required; submit: sent first)
     --workers <N>        simulation worker threads (serve; default 2)
     --max-conns <N>      concurrent connection limit; extra connections
                          get `BUSY retry-after=<ms>` (serve; default 64)
@@ -146,7 +144,6 @@ struct Args {
     cache_dir: Option<String>,
     cache_max_bytes: Option<u64>,
     max_bytes: Option<u64>,
-    socket: Option<String>,
     listen: Option<String>,
     addr: Option<String>,
     auth_token: Option<String>,
@@ -188,7 +185,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         cache_dir: None,
         cache_max_bytes: None,
         max_bytes: None,
-        socket: None,
         listen: None,
         addr: None,
         auth_token: None,
@@ -282,9 +278,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--max-bytes" => {
                 let v = argv.next().ok_or("--max-bytes needs a value")?;
                 args.max_bytes = Some(v.parse().map_err(|_| format!("bad byte target {v:?}"))?);
-            }
-            "--socket" => {
-                args.socket = Some(argv.next().ok_or("--socket needs a value")?);
             }
             "--listen" => {
                 args.listen = Some(argv.next().ok_or("--listen needs a value")?);
@@ -811,75 +804,38 @@ fn cmd_cache(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    if args.socket.is_none() && args.listen.is_none() {
-        return Err("serve needs --socket and/or --listen".to_string());
-    }
-    if args.listen.is_some() && args.auth_token.is_none() {
-        return Err("serving TCP requires --auth-token (the socket is network-reachable)".into());
-    }
-    if let Some(token) = &args.auth_token {
-        auth::validate_token(token)?;
-    }
+    let addr = args.listen.as_deref().ok_or("serve needs --listen")?;
+    let token = args
+        .auth_token
+        .as_deref()
+        .ok_or("serve needs --auth-token (the listener is network-reachable)")?;
+    auth::validate_token(token)?;
     let cache = open_cache(args)?.ok_or("serve needs --cache-dir")?;
     let rc = run_config(args)?;
     let config = ServerConfig {
         workers: args.workers.unwrap_or(2),
         ..ServerConfig::default()
     };
-    let io_timeout = Duration::from_millis(args.io_timeout_ms.unwrap_or(30_000));
     let opts = ServeOptions {
-        auth_token: args.auth_token.clone(),
-        read_timeout: io_timeout,
-        write_timeout: io_timeout,
+        auth_token: Some(token.to_string()),
+        io_timeout: Duration::from_millis(args.io_timeout_ms.unwrap_or(30_000)),
         max_connections: args.max_conns.unwrap_or(64),
-        ..ServeOptions::default()
     };
-    let mut listeners = Vec::new();
-    if let Some(socket) = &args.socket {
-        let l = Listener::bind_unix(Path::new(socket))
-            .map_err(|e| format!("binding unix:{socket}: {e}"))?;
-        listeners.push(l);
-    }
-    if let Some(addr) = &args.listen {
-        let l = Listener::bind_tcp(addr).map_err(|e| format!("binding tcp:{addr}: {e}"))?;
-        listeners.push(l);
-    }
+    let listener = Listener::bind_tcp(addr).map_err(|e| format!("binding tcp:{addr}: {e}"))?;
+    let endpoint = listener.endpoint();
     let server = Server::new(Arc::new(ServeBackend::new(rc)), cache, config);
-    for l in &listeners {
-        // The actual bound endpoint: `--listen 127.0.0.1:0` resolves to
-        // the kernel-assigned port here, which scripts parse.
-        println!(
-            "serving on {} ({} workers, queue {}, {} conns max{})",
-            l.endpoint().describe(),
-            config.workers,
-            config.queue_capacity,
-            opts.max_connections,
-            if opts.auth_token.is_some() {
-                ", auth required"
-            } else {
-                ""
-            }
-        );
-    }
-    // One serve loop per listener; a SHUTDOWN on either transport wakes
-    // and stops both. Errors are joined after all loops exit so one
-    // transport failing does not strand the other's cleanup.
-    let results: Vec<std::io::Result<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = listeners
-            .iter()
-            .map(|l| scope.spawn(|| server.serve(l, &opts)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serve loop panicked"))
-            .collect()
-    });
+    // The actual bound endpoint: `--listen 127.0.0.1:0` resolves to the
+    // kernel-assigned port here, which scripts parse.
+    println!(
+        "serving on {} ({} workers, queue {}, {} conns max, auth required)",
+        endpoint.describe(),
+        config.workers,
+        config.queue_capacity,
+        opts.max_connections,
+    );
+    let result = server.serve(&listener, &opts);
     server.join();
-    for (l, r) in listeners.iter().zip(&results) {
-        if let Err(e) = r {
-            return Err(format!("serving {}: {e}", l.endpoint().describe()));
-        }
-    }
+    result.map_err(|e| format!("serving {}: {e}", endpoint.describe()))?;
     let s = server.cache().stats();
     println!(
         "served: {} hits, {} misses, {} coalesced, {} panics contained; cache holds {} entries",
@@ -893,14 +849,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_submit(args: &Args) -> Result<(), String> {
-    let endpoint = match (&args.socket, &args.addr) {
-        (Some(_), Some(_)) => {
-            return Err("submit takes --socket or --addr, not both".to_string());
-        }
-        (Some(socket), None) => Endpoint::unix(socket),
-        (None, Some(addr)) => Endpoint::tcp(addr.clone()),
-        (None, None) => return Err("submit needs --socket or --addr".to_string()),
-    };
+    let addr = args.addr.as_deref().ok_or("submit needs --addr")?;
     let request = if args.ping {
         "PING".to_string()
     } else if args.server_stats {
@@ -923,7 +872,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         };
         format!("SWEEP {}", cells.join(" "))
     };
-    let mut cfg = ClientConfig::new(endpoint);
+    let mut cfg = ClientConfig::new(Endpoint::tcp(addr));
     cfg.auth_token = args.auth_token.clone();
     cfg.io_timeout = Duration::from_millis(args.timeout_ms.unwrap_or(30_000));
     if let Some(retries) = args.retries {
@@ -1019,6 +968,8 @@ mod tests {
             &["sweep", "--json", "out.json"][..],
             &["sweep", "--name", "x"][..],
             &["serve", "--queue", "8"][..],
+            &["serve", "--socket", "/tmp/f.sock"][..],
+            &["submit", "--socket", "/tmp/f.sock", "--ping"][..],
         ] {
             let e = args(unknown).unwrap_err();
             assert!(e.contains("unknown flag"), "got {e:?}");
@@ -1160,28 +1111,28 @@ mod tests {
     fn parses_serve_and_submit_flags() {
         let a = args(&[
             "serve",
-            "--socket",
-            "/tmp/f.sock",
+            "--listen",
+            "127.0.0.1:7070",
             "--cache-dir",
             "/tmp/c",
             "--workers",
             "4",
         ])
         .unwrap();
-        assert_eq!(a.socket.as_deref(), Some("/tmp/f.sock"));
+        assert_eq!(a.listen.as_deref(), Some("127.0.0.1:7070"));
         assert_eq!(a.workers, Some(4));
 
         let a = args(&[
             "submit",
             "ATAX/Dy-FUSE",
             "GEMM/L1-SRAM",
-            "--socket",
-            "/tmp/f.sock",
+            "--addr",
+            "127.0.0.1:7070",
         ])
         .unwrap();
         assert_eq!(a.positionals, vec!["ATAX/Dy-FUSE", "GEMM/L1-SRAM"]);
 
-        let a = args(&["submit", "--socket", "/tmp/f.sock", "--shutdown"]).unwrap();
+        let a = args(&["submit", "--addr", "127.0.0.1:7070", "--shutdown"]).unwrap();
         assert!(a.shutdown && !a.ping && !a.server_stats);
 
         assert!(args(&["serve", "--workers", "0"]).is_err());
@@ -1250,24 +1201,11 @@ mod tests {
         .unwrap();
         let e = cmd_serve(&a).unwrap_err();
         assert!(e.contains("auth token"), "got {e:?}");
-        // No transport at all.
+        // No address at all.
         let a = args(&["serve", "--cache-dir", "/tmp/c"]).unwrap();
-        assert!(cmd_serve(&a)
-            .unwrap_err()
-            .contains("--socket and/or --listen"));
-        // submit: exactly one transport.
+        assert!(cmd_serve(&a).unwrap_err().contains("serve needs --listen"));
         let a = args(&["submit", "--ping"]).unwrap();
-        assert!(cmd_submit(&a).unwrap_err().contains("--socket or --addr"));
-        let a = args(&[
-            "submit",
-            "--ping",
-            "--socket",
-            "/tmp/f.sock",
-            "--addr",
-            "1.2.3.4:1",
-        ])
-        .unwrap();
-        assert!(cmd_submit(&a).unwrap_err().contains("not both"));
+        assert!(cmd_submit(&a).unwrap_err().contains("submit needs --addr"));
     }
 
     #[test]
